@@ -9,6 +9,7 @@ from typing import NamedTuple
 from .constructions import discrete_torus
 from .core import (
     DEFAULT_NODE_BUDGET,
+    ENUMERATION_CAP,
     FiniteQuandle,
     PointMap,
     enumerate_quandles,
@@ -33,31 +34,38 @@ def inner_group(q: FiniteQuandle) -> PermGroup:
     return PermGroup(q.size, [Permutation(r) for r in dict.fromkeys(q.table)])
 
 
+def _inverse(row: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(row)
+    for y, v in enumerate(row):
+        inv[v] = y
+    return tuple(inv)
+
+
+def _displacement_generators(q: FiniteQuandle) -> list[tuple[int, ...]]:
+    """s_x o s_0^{-1} for every point x, duplicates removed, in order of x."""
+    inv0 = _inverse(q.table[0])
+    return list(dict.fromkeys(tuple(rx[i] for i in inv0) for rx in q.table))
+
+
 def even_inner_group(q: FiniteQuandle) -> PermGroup:
-    """Group generated by all products of two point symmetries."""
-    gens = dict.fromkeys(
-        tuple(rx[ry[i]] for i in range(q.size))
-        for rx in q.table
-        for ry in q.table
-    )
-    return PermGroup(q.size, [Permutation(g) for g in gens])
+    """Group Inn+ generated by all products s_x o s_y of two point symmetries.
+
+    Dis and s_0^2 generate it: s_x s_y = (s_x s_0^{-1}) s_0^2 (s_0^{-1} s_y),
+    and the last factor lies in Dis because Dis is normal in Inn (by the
+    third axiom); conversely s_x s_y^{-1} = (s_x s_y)(s_y^2)^{-1}.
+    """
+    r0 = q.table[0]
+    square = tuple(r0[y] for y in r0)
+    return PermGroup(q.size, _displacement_generators(q) + [square])
 
 
 def displacement_group(q: FiniteQuandle) -> PermGroup:
-    """Group generated by products of a symmetry and an inverse symmetry."""
-    n = q.size
-    inverses = []
-    for row in q.table:
-        inv = [0] * n
-        for y, v in enumerate(row):
-            inv[v] = y
-        inverses.append(tuple(inv))
-    gens = dict.fromkeys(
-        tuple(rx[ryi[i]] for i in range(n))
-        for rx in q.table
-        for ryi in inverses
-    )
-    return PermGroup(n, [Permutation(g) for g in gens])
+    """Group Dis generated by all products s_x o s_y^{-1}.
+
+    The s_x o s_0^{-1} alone generate it:
+    s_x s_y^{-1} = (s_x s_0^{-1})(s_y s_0^{-1})^{-1}.
+    """
+    return PermGroup(q.size, _displacement_generators(q))
 
 
 def automorphism_group(
@@ -118,21 +126,28 @@ def _noncommuting_rows(q: FiniteQuandle):
     return None
 
 
-def _noncommuting_composites(generator_of):
-    """First pair of labelled permutations that fail to commute.
+def _noncommuting_composites(q: FiniteQuandle, *, inverse: bool):
+    """First pair of products s_x o s_y (s_x o s_y^{-1} if inverse) that
+    fail to commute, each labelled by the first (x, y) producing it, as a
+    flat 4-tuple of points.
 
-    generator_of maps a composite tuple to the point pair that first
-    produced it; returns a flat 4-tuple of points or None.
+    The flags are decided on generators; this brute-force scan only finds
+    the witness once a group is known to be non-abelian, so a pair exists.
     """
-    items = list(generator_of.items())
-    n = len(items[0][0]) if items else 0
-    for i in range(len(items)):
-        gi, pi = items[i]
-        for j in range(i + 1, len(items)):
-            gj, pj = items[j]
+    t = q.table
+    n = q.size
+    right = [_inverse(r) for r in t] if inverse else t
+    labelled = {}
+    for x in range(n):
+        rx = t[x]
+        for y in range(n):
+            labelled.setdefault(tuple(rx[i] for i in right[y]), (x, y))
+    items = list(labelled.items())
+    for i, (gi, pi) in enumerate(items):
+        for gj, pj in items[i + 1:]:
             if any(gi[gj[x]] != gj[gi[x]] for x in range(n)):
                 return pi + pj
-    return None
+    raise VerificationError("generators fail to commute but no two products do")
 
 
 @dataclass(frozen=True)
@@ -177,8 +192,6 @@ def property_report(
 ) -> PropertyReport:
     """Compute every property flag; homogeneity falls back to unknown (None)
     when the quandle is above the automorphism cap."""
-    n = q.size
-    t = q.table
     witnesses = {}
 
     components = connected_components(q)
@@ -196,29 +209,13 @@ def property_report(
     if abelian_w:
         witnesses["abelian_inn"] = abelian_w
 
-    pair_products = {}
-    displacement_products = {}
-    inverses = []
-    for row in t:
-        inv = [0] * n
-        for y, v in enumerate(row):
-            inv[v] = y
-        inverses.append(tuple(inv))
-    for x in range(n):
-        rx = t[x]
-        for y in range(n):
-            ry = t[y]
-            prod = tuple(rx[ry[i]] for i in range(n))
-            pair_products.setdefault(prod, (x, y))
-            ryi = inverses[y]
-            disp = tuple(rx[ryi[i]] for i in range(n))
-            displacement_products.setdefault(disp, (x, y))
-    flat_w = _noncommuting_composites(pair_products)
-    if flat_w:
-        witnesses["flat"] = flat_w
-    medial_w = _noncommuting_composites(displacement_products)
-    if medial_w:
-        witnesses["medial"] = medial_w
+    flat = even_inner_group(q).is_abelian()
+    if not flat:
+        witnesses["flat"] = _noncommuting_composites(q, inverse=False)
+    # Dis is a subgroup of Inn+, so a flat quandle is medial.
+    medial = flat or displacement_group(q).is_abelian()
+    if not medial:
+        witnesses["medial"] = _noncommuting_composites(q, inverse=True)
 
     homogeneous: bool | None
     try:
@@ -235,8 +232,8 @@ def property_report(
     return PropertyReport(
         connected=connected,
         homogeneous=homogeneous,
-        flat=flat_w is None,
-        medial=medial_w is None,
+        flat=flat,
+        medial=medial,
         crossed=crossed_w is None,
         involutive=involutive_w is None,
         abelian_inn=abelian_w is None,
@@ -436,8 +433,14 @@ def flat_connected_census(
     product of odd dihedral quandles; a survivor without such a match
     raises VerificationError, so a clean return is itself the check.
     """
-    if not isinstance(max_order, int) or isinstance(max_order, bool) or not 1 <= max_order <= 6:
-        raise InputError(f"census order must be between 1 and 6, got {max_order!r}")
+    if (
+        not isinstance(max_order, int)
+        or isinstance(max_order, bool)
+        or not 1 <= max_order <= ENUMERATION_CAP
+    ):
+        raise InputError(
+            f"census order must be between 1 and {ENUMERATION_CAP}, got {max_order!r}"
+        )
     out = []
     for n in range(1, max_order + 1):
         classes = enumerate_quandles(n)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or every requested property true), 1 a requested
 property or reconstruction precondition is false, 2 malformed input,
-bad usage, or an exceeded search limit.  Output for fixed inputs is
+bad usage, an exceeded search limit, or an input too deep or too large
+for the recursion limit or memory.  Output for fixed inputs is
 byte-stable: collections are sorted and nothing is timestamped.
 
 QUANDLES_NODE_BUDGET overrides the backtracking-node budget used by the
@@ -58,6 +59,8 @@ def _read_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
+    except RecursionError:
+        raise InputError(f"JSON in {path} is nested too deeply to parse") from None
 
 
 def _dump(data) -> str:
@@ -280,6 +283,12 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too deep for the recursion limit", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -167,10 +167,10 @@ class PermGroup:
 
     def is_abelian(self) -> bool:
         """Generators pairwise commute iff the generated group is abelian."""
-        gens = self.generators
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if gens[i].compose(gens[j]) != gens[j].compose(gens[i]):
+        gens = [g.images for g in self.generators]
+        for i, a in enumerate(gens):
+            for b in gens[i + 1:]:
+                if [a[y] for y in b] != [b[y] for y in a]:
                     return False
         return True
 

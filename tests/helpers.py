@@ -118,3 +118,42 @@ def petersen_edges():
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5, 7), (7, 9), (6, 9), (6, 8), (5, 8)]
     return outer + spokes + inner
+
+
+def relabeled_table(table, sigma):
+    """The table carried along the point bijection sigma (a list of images)."""
+    n = len(table)
+    inv = [0] * n
+    for x, y in enumerate(sigma):
+        inv[y] = x
+    return [[sigma[table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
+
+
+def labelled_products(table, inverse=False):
+    """Every product s_x o s_y (s_x o s_y^-1 if inverse) as an image tuple,
+    labelled by the first (x, y) in row-major order that produces it."""
+    n = len(table)
+    right = table
+    if inverse:
+        right = [[0] * n for _ in range(n)]
+        for y, row in enumerate(table):
+            for z, v in enumerate(row):
+                right[y][v] = z
+    out = {}
+    for x in range(n):
+        for y in range(n):
+            prod = tuple(table[x][right[y][i]] for i in range(n))
+            out.setdefault(prod, (x, y))
+    return out
+
+
+def first_noncommuting_products(table, inverse=False):
+    """The flat (medial if inverse) rule by brute force: None when all the
+    products of labelled_products commute pairwise, else the labels
+    (x, y, x', y') of the first non-commuting pair in insertion order."""
+    items = list(labelled_products(table, inverse).items())
+    for i, (a, la) in enumerate(items):
+        for b, lb in items[i + 1:]:
+            if any(a[b[k]] != b[a[k]] for k in range(len(a))):
+                return la + lb
+    return None

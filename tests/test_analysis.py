@@ -29,7 +29,13 @@ from quandles import (
 )
 from quandles.graphs import find_graph_isomorphism
 
-from helpers import gf2_rank, random_edge_set
+from helpers import (
+    first_noncommuting_products,
+    gf2_rank,
+    labelled_products,
+    random_edge_set,
+    relabeled_table,
+)
 
 SINGLE_FLIP = FiniteQuandle([[0, 2, 1], [0, 1, 2], [0, 1, 2]])
 
@@ -390,6 +396,67 @@ def test_group_chain_inclusions_hold_elementwise():
             assert len(big) % len(small) == 0
 
 
+# ------------------------------------------- flat and medial vs brute force
+
+# The tetrahedral quandle (Alexander, hence medial) and a Z/2 cocycle whose
+# extension is neither flat nor medial.
+TETRAHEDRAL = FiniteQuandle([[0, 2, 3, 1], [3, 1, 0, 2], [1, 3, 2, 0], [2, 0, 1, 3]])
+NONMEDIAL_PHI = [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 0]]
+
+
+def oracle_suite():
+    from quandles import CocycleTable, cocycle_extension, discrete_torus, enumerate_quandles
+
+    rng = random.Random(41)
+    qs = []
+    for n in range(1, 6):
+        for q in enumerate_quandles(n):
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            qs += [q, FiniteQuandle(relabeled_table(q.table, sigma))]
+    for _ in range(6):
+        n = rng.randint(2, 7)
+        qs.append(from_graph(SimpleGraph(n, random_edge_set(rng, n))))
+    qs += [discrete_torus((3, 3)), discrete_torus((3, 5)), aknn(1, 4), aknn(2, 4)]
+    qs.append(cocycle_extension(TETRAHEDRAL, CocycleTable(2, NONMEDIAL_PHI)))
+    return qs
+
+
+def test_flat_and_medial_match_the_pairwise_product_oracle():
+    flags = set()
+    for q in oracle_suite():
+        report = property_report(q)
+        for name, inverse in (("flat", False), ("medial", True)):
+            witness = first_noncommuting_products(q.table, inverse)
+            assert getattr(report, name) == (witness is None), (name, q.table)
+            assert report.witnesses.get(name) == witness, (name, q.table)
+        flags.add((report.flat, report.medial))
+    assert flags == {(True, True), (False, True), (False, False)}
+
+
+def test_nonmedial_cocycle_extension_of_a_medial_base():
+    from quandles import CocycleTable, cocycle_extension
+
+    assert property_report(TETRAHEDRAL).medial
+    report = property_report(cocycle_extension(TETRAHEDRAL, CocycleTable(2, NONMEDIAL_PHI)))
+    assert not report.flat and not report.medial
+
+
+def test_generator_sets_give_the_orders_of_the_product_groups():
+    from sympy.combinatorics import Permutation as SymPerm
+    from sympy.combinatorics import PermutationGroup
+
+    def order(perms):
+        return PermutationGroup([SymPerm(list(p)) for p in perms]).order()
+
+    for q in [q for q in oracle_suite() if q.size <= 12] + [dihedral(r) for r in range(6, 11)]:
+        dis = displacement_group(q)
+        even = even_inner_group(q)
+        assert len(dis.generators) <= q.size and len(even.generators) <= q.size + 1
+        assert dis.order() == order(labelled_products(q.table, inverse=True))
+        assert even.order() == order(labelled_products(q.table))
+
+
 # ----------------------------------------------------------------- census
 
 def test_census_to_order_four():
@@ -408,6 +475,16 @@ def test_census_rejects_bad_bounds():
     for bad in (0, 7):
         with pytest.raises(InputError):
             flat_connected_census(bad)
+
+
+def test_census_and_enumeration_share_one_cap():
+    from quandles import InputError, enumerate_quandles
+    from quandles.core import ENUMERATION_CAP
+
+    with pytest.raises(InputError, match=f"between 1 and {ENUMERATION_CAP}, got"):
+        flat_connected_census(ENUMERATION_CAP + 1)
+    with pytest.raises(InputError):
+        enumerate_quandles(ENUMERATION_CAP + 1)
 
 
 def test_homogeneity_matches_vertex_transitivity_on_small_graphs():

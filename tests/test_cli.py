@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from quandles import dihedral, from_graph, graphs, quandle_to_dict, trivial
 from quandles.cli import main
 
@@ -11,6 +13,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _src_env():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def write_json(tmp_path, name, data):
@@ -91,6 +100,35 @@ def test_check_malformed_json(capsys, tmp_path):
     p.write_text("{not json")
     code, _, err = run(capsys, "check", str(p))
     assert code == 2 and "error" in err
+
+
+def test_check_deeply_nested_json_is_an_input_error(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 200_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quandles", "check", str(p)],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("exc", [RecursionError, MemoryError])
+def test_exhausted_recursion_or_memory_exits_2(exc, capsys, tmp_path, monkeypatch):
+    from quandles import analysis
+
+    def fail(*args, **kwargs):
+        raise exc()
+
+    monkeypatch.setattr(analysis, "property_report", fail)
+    path = write_json(tmp_path, "q.json", quandle_to_dict(dihedral(3)))
+    code, out, err = run(capsys, "check", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_check_non_quandle_table(capsys, tmp_path):
@@ -199,14 +237,11 @@ def test_node_budget_env_is_validated(capsys, tmp_path, monkeypatch):
 
 
 def test_console_entry_point_subprocess():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
         [sys.executable, "-m", "quandles", "census", "--max-order", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
     )
     assert proc.returncode == 0
     assert "order 1" in proc.stdout
