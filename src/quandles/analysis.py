@@ -24,7 +24,13 @@ from .errors import (
     VerificationError,
 )
 from .graphs import SimpleGraph, is_vertex_transitive
-from .permgroup import DEFAULT_ELEMENT_CAP, PermGroup, Permutation
+from .permgroup import (
+    DEFAULT_ELEMENT_CAP,
+    PermGroup,
+    Permutation,
+    _noncommuting_pair,
+    _row_kernel,
+)
 
 DEFAULT_AUT_POINT_CAP = 16
 
@@ -84,6 +90,8 @@ def automorphism_group(
     for images in iter_isomorphisms(q, q, node_budget=node_budget):
         found.append(Permutation(images))
         if len(found) > element_cap:
+            # A caught error's traceback keeps this frame and its locals alive.
+            found = None
             raise ResourceLimitError(
                 f"automorphism group exceeded element cap {element_cap}"
             )
@@ -114,18 +122,6 @@ def _involutive_witness(q: FiniteQuandle):
     return None
 
 
-def _noncommuting_rows(q: FiniteQuandle):
-    t = q.table
-    n = q.size
-    for x in range(n):
-        rx = t[x]
-        for y in range(x + 1, n):
-            ry = t[y]
-            if any(rx[ry[i]] != ry[rx[i]] for i in range(n)):
-                return (x, y)
-    return None
-
-
 def _noncommuting_composites(q: FiniteQuandle, *, inverse: bool):
     """First pair of products s_x o s_y (s_x o s_y^{-1} if inverse) that
     fail to commute, each labelled by the first (x, y) producing it, as a
@@ -136,18 +132,18 @@ def _noncommuting_composites(q: FiniteQuandle, *, inverse: bool):
     """
     t = q.table
     n = q.size
-    right = [_inverse(r) for r in t] if inverse else t
+    left, right = _row_kernel(t)
+    if inverse:
+        right = _row_kernel([_inverse(r) for r in t])[1]
     labelled = {}
     for x in range(n):
-        rx = t[x]
         for y in range(n):
-            labelled.setdefault(tuple(rx[i] for i in right[y]), (x, y))
-    items = list(labelled.items())
-    for i, (gi, pi) in enumerate(items):
-        for gj, pj in items[i + 1:]:
-            if any(gi[gj[x]] != gj[gi[x]] for x in range(n)):
-                return pi + pj
-    raise VerificationError("generators fail to commute but no two products do")
+            labelled.setdefault(right[y](left[x]), (x, y))
+    pair = _noncommuting_pair(list(labelled))
+    if pair is None:
+        raise VerificationError("generators fail to commute but no two products do")
+    labels = list(labelled.values())
+    return labels[pair[0]] + labels[pair[1]]
 
 
 @dataclass(frozen=True)
@@ -205,7 +201,7 @@ def property_report(
     involutive_w = _involutive_witness(q)
     if involutive_w:
         witnesses["involutive"] = involutive_w
-    abelian_w = _noncommuting_rows(q)
+    abelian_w = _noncommuting_pair(q.table)
     if abelian_w:
         witnesses["abelian_inn"] = abelian_w
 

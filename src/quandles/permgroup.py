@@ -7,6 +7,7 @@ simplicity and auditability win over asymptotics.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
@@ -79,6 +80,37 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return p.compose(q)
 
 
+def _row_kernel(rows):
+    """Row products in one C call each.
+
+    Returns (left, right) such that right[b](left[a]) is the image
+    sequence of a o b, that is a[b[z]] for each z, for any two of the
+    given rows (equal-length sequences of points 0..n-1).  Up to 256
+    points a row is bytes: left[a] is a padded to a 256-byte translation
+    table and right[b] is bytes(b).translate.  Above that, left[a] is the
+    row tuple and right[b] an itemgetter.  Two products compare equal
+    exactly when the compositions are equal.
+    """
+    n = len(rows[0]) if rows else 0
+    if n <= 256:
+        pad = bytes(range(n, 256))
+        return (
+            [bytes(r) + pad for r in rows],
+            [bytes(r).translate for r in rows],
+        )
+    return [tuple(r) for r in rows], [operator.itemgetter(*r) for r in rows]
+
+
+def _noncommuting_pair(rows):
+    """The first (a, b), a < b, with a o b != b o a among the rows, or None."""
+    left, right = _row_kernel(rows)
+    for a, (la, ra) in enumerate(zip(left, right)):
+        for b in range(a + 1, len(rows)):
+            if right[b](la) != ra(left[b]):
+                return (a, b)
+    return None
+
+
 class PermGroup:
     """A permutation group presented by generators.
 
@@ -122,6 +154,9 @@ class PermGroup:
                         c = a.compose(b)
                         if c not in els:
                             if len(els) >= cap:
+                                # A caught error's traceback keeps this
+                                # frame and its locals alive.
+                                els = frontier = new = None
                                 raise ResourceLimitError(
                                     f"group closure exceeded element cap {cap}"
                                 )
@@ -167,12 +202,7 @@ class PermGroup:
 
     def is_abelian(self) -> bool:
         """Generators pairwise commute iff the generated group is abelian."""
-        gens = [g.images for g in self.generators]
-        for i, a in enumerate(gens):
-            for b in gens[i + 1:]:
-                if [a[y] for y in b] != [b[y] for y in a]:
-                    return False
-        return True
+        return _noncommuting_pair([g.images for g in self.generators]) is None
 
 
 def perm_to_list(p: Permutation) -> list[int]:

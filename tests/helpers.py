@@ -157,3 +157,48 @@ def first_noncommuting_products(table, inverse=False):
             if any(a[b[k]] != b[a[k]] for k in range(len(a))):
                 return la + lb
     return None
+
+
+def first_axiom_violation(rows, axioms=("Q1", "Q2", "Q3")):
+    """The first violation of the named axioms by the direct rules, in the
+    form of AxiomReport.first_violation, or None.
+
+    Q1 takes the first x with rows[x][x] != x; Q2 the first row x, in it
+    the first column y2 repeating an earlier column y1; Q3 the
+    lexicographically first (x, y, z) with
+    rows[x][rows[y][z]] != rows[rows[x][y]][rows[x][z]].
+    """
+    n = len(rows)
+    if "Q1" in axioms:
+        for x in range(n):
+            if rows[x][x] != x:
+                return ("Q1", (x,))
+    if "Q2" in axioms:
+        for x in range(n):
+            row = list(rows[x])
+            for y2 in range(n):
+                y1 = row.index(row[y2])
+                if y1 < y2:
+                    return ("Q2", (x, y1, y2))
+    if "Q3" in axioms:
+        for x in range(n):
+            rx = rows[x]
+            for y in range(n):
+                ry, rxy = rows[y], rows[rx[y]]
+                # Whole rows first, so a passing 257-point table stays fast.
+                if list(map(rx.__getitem__, ry)) == list(map(rxy.__getitem__, rx)):
+                    continue
+                for z in range(n):
+                    if rx[ry[z]] != rxy[rx[z]]:
+                        return ("Q3", (x, y, z))
+    return None
+
+
+def first_noncommuting_rows(table):
+    """The first (x, y), x < y, whose rows do not commute, or None."""
+    n = len(table)
+    for x in range(n):
+        for y in range(x + 1, n):
+            if any(table[x][table[y][z]] != table[y][table[x][z]] for z in range(n)):
+                return (x, y)
+    return None

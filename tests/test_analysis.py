@@ -6,6 +6,8 @@ from quandles import (
     BadComponentSizeError,
     FiniteQuandle,
     NotCrossedError,
+    PermGroup,
+    Permutation,
     PointMap,
     ResourceLimitError,
     SimpleGraph,
@@ -31,6 +33,7 @@ from quandles.graphs import find_graph_isomorphism
 
 from helpers import (
     first_noncommuting_products,
+    first_noncommuting_rows,
     gf2_rank,
     labelled_products,
     random_edge_set,
@@ -155,6 +158,33 @@ def test_automorphism_caps():
         automorphism_group(trivial(17))
     with pytest.raises(ResourceLimitError):
         automorphism_group(trivial(8), element_cap=100)
+
+
+def permutation_hoards(exc):
+    """(function, local) of every traceback frame local that is a
+    collection of more than eight permutations."""
+    out = []
+    tb = exc.__traceback__
+    while tb is not None:
+        for name, value in tb.tb_frame.f_locals.items():
+            if isinstance(value, (list, tuple, set, frozenset, dict)):
+                if sum(isinstance(v, Permutation) for v in value) > 8:
+                    out.append((tb.tb_frame.f_code.co_name, name))
+        tb = tb.tb_next
+    return out
+
+
+@pytest.mark.parametrize(
+    "over_cap",
+    [
+        lambda: automorphism_group(trivial(8), element_cap=5000),
+        lambda: PermGroup(8, [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)]).closure(5000),
+    ],
+)
+def test_refusals_drop_the_elements_found_so_far(over_cap):
+    with pytest.raises(ResourceLimitError) as info:
+        over_cap()
+    assert permutation_hoards(info.value) == []
 
 
 def test_normality_of_symmetries_under_automorphisms():
@@ -426,6 +456,9 @@ def test_flat_and_medial_match_the_pairwise_product_oracle():
     flags = set()
     for q in oracle_suite():
         report = property_report(q)
+        witness = first_noncommuting_rows(q.table)
+        assert report.abelian_inn == (witness is None), q.table
+        assert report.witnesses.get("abelian_inn") == witness, q.table
         for name, inverse in (("flat", False), ("medial", True)):
             witness = first_noncommuting_products(q.table, inverse)
             assert getattr(report, name) == (witness is None), (name, q.table)

@@ -2,9 +2,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandles import (
     AxiomError,
+    AxiomReport,
     FiniteQuandle,
     InputError,
     PointMap,
@@ -25,7 +28,12 @@ from quandles import (
 )
 from quandles import axis_quandle, graphs
 
-from helpers import geometric_dihedral_table, naive_quandle_classes
+from helpers import (
+    first_axiom_violation,
+    geometric_dihedral_table,
+    naive_quandle_classes,
+    relabeled_table,
+)
 
 
 # ---------------------------------------------------------------- axioms
@@ -76,6 +84,82 @@ def test_malformed_tables_raise_not_report():
     assert q.size == 2
     with pytest.raises(InputError):
         FiniteQuandle([[0, 2], [1, 0]], unchecked=True)
+
+
+def oracle_report(rows):
+    w1, w2, w3 = (first_axiom_violation(rows, (ax,)) for ax in ("Q1", "Q2", "Q3"))
+    return AxiomReport(w1 is None, w2 is None, w3 is None, w1 or w2 or w3)
+
+
+def mutations(rows, rng, count):
+    """count single-entry changes and count swaps of two entries in a row."""
+    n = len(rows)
+    out = []
+    for _ in range(count):
+        t = [list(r) for r in rows]
+        x, y = rng.randrange(n), rng.randrange(n)
+        t[x][y] = rng.choice([v for v in range(n) if v != t[x][y]] or [0])
+        out.append(t)
+        t = [list(r) for r in rows]
+        x, y1, y2 = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        t[x][y1], t[x][y2] = t[x][y2], t[x][y1]
+        out.append(t)
+    return out
+
+
+SMALL_CLASSES = [q.table for n in range(1, 6) for q in enumerate_quandles(n)]
+
+
+def test_axiom_reports_match_the_oracle_on_small_classes_and_mutations():
+    rng = random.Random(53)
+    failing = set()
+    for table in SMALL_CLASSES:
+        assert verify_axioms(table) == oracle_report(table) == AxiomReport(True, True, True)
+        n = len(table)
+        sigma = rng.sample(range(n), n)
+        for rows in mutations(relabeled_table(table, sigma), rng, 4):
+            report = verify_axioms(rows)
+            assert report == oracle_report(rows), rows
+            failing.add(report.first_violation and report.first_violation[0])
+    assert failing == {None, "Q1", "Q2", "Q3"}
+
+
+def alexander_table(n, t):
+    return [[(t * y + (1 - t) * x) % n for y in range(n)] for x in range(n)]
+
+
+# 255 and 256 points take the bytes row encoding (with and without
+# padding), 257 the tuple one.
+@pytest.mark.parametrize("n, t", [(255, 2), (256, 3), (257, 3)])
+def test_axiom_reports_match_the_oracle_at_the_encoding_boundary(n, t):
+    table = alexander_table(n, t)
+    assert verify_axioms(table) == oracle_report(table) == AxiomReport(True, True, True)
+    rng = random.Random(n)
+    for rows in mutations(table, rng, 3):
+        report = verify_axioms(rows)
+        assert not report.ok
+        assert report == oracle_report(rows)
+
+
+@st.composite
+def relabelled_classes_or_mutations(draw):
+    table = draw(st.sampled_from(SMALL_CLASSES))
+    n = len(table)
+    rows = relabeled_table(table, draw(st.permutations(range(n))))
+    kind = draw(st.sampled_from(["none", "entry", "swap"]))
+    x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "entry":
+        rows[x][y] = draw(st.integers(0, n - 1))
+    elif kind == "swap":
+        y2 = draw(st.integers(0, n - 1))
+        rows[x][y], rows[x][y2] = rows[x][y2], rows[x][y]
+    return rows
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(relabelled_classes_or_mutations())
+def test_axiom_reports_match_the_oracle_on_generated_tables(rows):
+    assert verify_axioms(rows) == oracle_report(rows)
 
 
 # ---------------------------------------------------------- homomorphisms

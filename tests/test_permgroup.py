@@ -5,8 +5,16 @@ import random
 import pytest
 
 from quandles import InputError, PermGroup, Permutation, ResourceLimitError, compose
-from quandles import dihedral, from_graph, graphs, inner_group
-from quandles.permgroup import group_from_dict, group_to_dict, perm_from_list, perm_to_list
+from quandles import dihedral, direct_product, from_graph, graphs, inner_group, trivial
+from quandles.permgroup import (
+    _noncommuting_pair,
+    group_from_dict,
+    group_to_dict,
+    perm_from_list,
+    perm_to_list,
+)
+
+from helpers import first_noncommuting_rows
 
 
 def rows_of(q):
@@ -148,6 +156,18 @@ def test_generator_check_agrees_with_materialized_check():
             for a, b in itertools.combinations(elements, 2)
         )
         assert g.is_abelian() == full
+
+
+# 255 points take the bytes row encoding, 258 the tuple one.
+@pytest.mark.parametrize("k", [85, 86])
+def test_noncommuting_rows_on_both_row_encodings(k):
+    q = direct_product(dihedral(3), trivial(k))
+    assert _noncommuting_pair(q.table) == first_noncommuting_rows(q.table) == (0, k)
+    assert not inner_group(q).is_abelian()
+    # Graph quandles have abelian inner groups.
+    graph_quandle = from_graph(graphs.cycle(3 * k // 2))
+    assert _noncommuting_pair(graph_quandle.table) is None
+    assert inner_group(graph_quandle).is_abelian()
 
 
 # ------------------------------------------------------------- serialization
