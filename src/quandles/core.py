@@ -15,10 +15,11 @@ with rows and columns swapped; only this one is used here.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .errors import AxiomError, InputError, ResourceLimitError
-from .permgroup import Permutation, _row_kernel
+from .permgroup import Permutation, _cycle_type, _row_kernel
 
 DEFAULT_NODE_BUDGET = 10**7
 ENUMERATION_CAP = 6
@@ -215,22 +216,6 @@ def is_homomorphism(f: PointMap, q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
     return True
 
 
-def _row_cycle_type(row: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(row)
-    lengths = []
-    for x in range(len(row)):
-        if seen[x]:
-            continue
-        length = 0
-        y = x
-        while not seen[y]:
-            seen[y] = True
-            y = row[y]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
-
-
 def iter_isomorphisms(q1: FiniteQuandle, q2: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET):
     """Yield every bijective homomorphism q1 -> q2 as an image tuple.
 
@@ -243,8 +228,8 @@ def iter_isomorphisms(q1: FiniteQuandle, q2: FiniteQuandle, *, node_budget: int 
     if q2.size != n:
         return
     t1, t2 = q1.table, q2.table
-    ct1 = [_row_cycle_type(r) for r in t1]
-    ct2 = [_row_cycle_type(r) for r in t2]
+    ct1 = [_cycle_type(r) for r in t1]
+    ct2 = [_cycle_type(r) for r in t2]
     if sorted(ct1) != sorted(ct2):
         return
     cands = [tuple(y for y in range(n) if ct2[y] == ct1[x]) for x in range(n)]
@@ -414,9 +399,30 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
     Rows are chosen by backtracking over diagonal-fixing permutations.
     Placing rows x and y forces the row at table[x][y] to be the
     conjugate row_x o row_y o row_x^-1, which prunes most of the tree
-    and enforces Q3 exactly.  Each discovered table is expanded to its
-    full relabeling orbit, so later hits are skipped in O(1); the class
-    representative is the smallest table of the orbit.  Output is sorted.
+    and enforces Q3 exactly.
+
+    Relabelings are broken at row 0.  Order cycle types by the key
+    (-c for c in sorted lengths), which puts the identity's type last.
+    Every class has a point whose row has the smallest type among its
+    rows; relabel that point to 0.  Two permutations that fix 0 and have
+    the same cycle type are conjugate by one that fixes 0, so a further
+    relabeling fixing 0 makes row 0 the first permutation of that type
+    fixing 0, while every row keeps its type.  Hence the search makes
+    one pass per type T of a permutation fixing 0: row 0 is that
+    representative and every chosen row has type T or later.  Forced
+    rows are conjugates of placed rows and share their types, so they
+    need no check.  Each class is reached in the pass of its smallest
+    row type and in no other.  The order is for speed: the first pass
+    admits rows of every type, and its row 0, with the fewest fixed
+    points, forces the most conjugates; the identity forces nothing, and
+    as the last type its pass admits only identity rows, the trivial
+    quandle alone.  (Identity first: 2574 tables visited at order 6
+    instead of 183.)
+
+    Each new table is expanded to its full relabeling orbit as flat
+    bytes, so later hits are skipped in O(1); the representative is the
+    smallest table of the orbit (flat rows of equal length sort as the
+    rows do).  Output is sorted.
     """
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= ENUMERATION_CAP:
         raise InputError(f"enumeration is capped at order {ENUMERATION_CAP}, got {n!r}")
@@ -429,7 +435,20 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
         for x, y in enumerate(p):
             inv[y] = x
         inv_of[p] = tuple(inv)
+    type_key = {p: tuple(-c for c in _cycle_type(p)) for p in all_perms}
     row_choices = [[p for p in all_perms if p[x] == x] for x in points]
+
+    # The relabeled flat table is t[sigma^-1 i * n + sigma^-1 j] mapped
+    # through sigma: one gather and one translate.  The identity comes
+    # first in all_perms and is left out.
+    pad = bytes(range(n, 256))
+    relabelings = [
+        (
+            operator.itemgetter(*[inv_of[s][i] * n + inv_of[s][j] for i in points for j in points]),
+            bytes(s) + pad,
+        )
+        for s in all_perms[1:]
+    ]
 
     conj_cache = {}
 
@@ -471,37 +490,39 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
         return True
 
     def emit():
-        t = tuple(rows)
+        t = bytes(itertools.chain.from_iterable(rows))
         if t in seen:
             return
-        orbit = set()
-        for sigma in all_perms:
-            sinv = inv_of[sigma]
-            orbit.add(
-                tuple(
-                    tuple(sigma[t[sinv[i]][sinv[j]]] for j in points)
-                    for i in points
-                )
-            )
+        orbit = {t}
+        orbit.update([bytes(gather(t)).translate(sigma) for gather, sigma in relabelings])
         seen.update(orbit)
         reps.append(min(orbit))
 
-    def backtrack(k):
+    def backtrack(k, choices):
         while k < n and rows[k] is not None:
             k += 1
         if k == n:
             emit()
             return
-        for p in row_choices[k]:
+        for p in choices[k]:
             trail = []
             if place(k, p, trail) and settle(trail):
-                backtrack(k + 1)
+                backtrack(k + 1, choices)
             while trail:
                 rows[trail.pop()] = None
 
-    backtrack(0)
+    for floor in sorted({type_key[p] for p in row_choices[0]}):
+        first = next(p for p in row_choices[0] if type_key[p] == floor)
+        choices = [[first]] + [
+            [p for p in row_choices[x] if type_key[p] >= floor] for x in points[1:]
+        ]
+        seen.clear()  # a class is reached in one pass only
+        backtrack(0, choices)
     reps.sort()
-    return [FiniteQuandle(t) for t in reps]
+    return [
+        FiniteQuandle(tuple(tuple(t[i : i + n]) for i in range(0, n * n, n)))
+        for t in reps
+    ]
 
 
 def quandle_to_dict(q: FiniteQuandle) -> dict:

@@ -60,19 +60,24 @@ class Permutation:
 
     def cycle_type(self) -> tuple[int, ...]:
         """Sorted lengths of the cycles, fixed points included."""
-        seen = [False] * self.degree
-        lengths = []
-        for x in range(self.degree):
-            if seen[x]:
-                continue
-            length = 0
-            y = x
-            while not seen[y]:
-                seen[y] = True
-                y = self.images[y]
-                length += 1
-            lengths.append(length)
-        return tuple(sorted(lengths))
+        return _cycle_type(self.images)
+
+
+def _cycle_type(images) -> tuple[int, ...]:
+    """Sorted cycle lengths of the permutation with these images."""
+    seen = [False] * len(images)
+    lengths = []
+    for x in range(len(images)):
+        if seen[x]:
+            continue
+        length = 0
+        y = x
+        while not seen[y]:
+            seen[y] = True
+            y = images[y]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:

@@ -82,6 +82,85 @@ def naive_quandle_classes(n):
     return sorted(classes)
 
 
+def orbit_quandle_classes(n):
+    """Representatives of the isomorphism classes of order n, with no
+    symmetry breaking: backtrack over diagonal-fixing rows, forcing the
+    row at rows[x][y] to be the conjugate s_x s_y s_x^-1, and expand every
+    new table to its full relabeling orbit, keeping the orbit's smallest
+    table.  About a second at n = 6."""
+    perms = list(itertools.permutations(range(n)))
+    inv_of = {}
+    for p in perms:
+        inv = [0] * n
+        for x, y in enumerate(p):
+            inv[y] = x
+        inv_of[p] = tuple(inv)
+    conjugates = {}
+
+    def conj(a, b):
+        if (a, b) not in conjugates:
+            ai = inv_of[a]
+            conjugates[a, b] = tuple(a[b[ai[i]]] for i in range(n))
+        return conjugates[a, b]
+
+    rows = [None] * n
+    seen = set()
+    classes = []
+
+    def place(z, perm, trail):
+        if rows[z] is not None:
+            return rows[z] == perm
+        rows[z] = perm
+        trail.append(z)
+        return True
+
+    def settle(trail):
+        qi = 0
+        while qi < len(trail):
+            x = trail[qi]
+            qi += 1
+            rx = rows[x]
+            for y in range(n):
+                ry = rows[y]
+                if ry is None:
+                    continue
+                if not place(rx[y], conj(rx, ry), trail):
+                    return False
+                if not place(ry[x], conj(ry, rx), trail):
+                    return False
+        return True
+
+    def backtrack(k):
+        while k < n and rows[k] is not None:
+            k += 1
+        if k == n:
+            t = tuple(rows)
+            if t not in seen:
+                orbit = set()
+                for sigma in perms:
+                    inv = inv_of[sigma]
+                    orbit.add(
+                        tuple(
+                            tuple(sigma[t[inv[i]][inv[j]]] for j in range(n))
+                            for i in range(n)
+                        )
+                    )
+                seen.update(orbit)
+                classes.append(min(orbit))
+            return
+        for p in perms:
+            if p[k] != k:
+                continue
+            trail = []
+            if place(k, p, trail) and settle(trail):
+                backtrack(k + 1)
+            while trail:
+                rows[trail.pop()] = None
+
+    backtrack(0)
+    return sorted(classes)
+
+
 def geometric_dihedral_table(r):
     """Dihedral quandle table computed with actual circle reflections.
 

@@ -205,6 +205,8 @@ def test_criterion_7_small_order_census():
         for n, expected in ((1, 1), (2, 1), (3, 3), (4, 7)):
             assert len(enumerate_quandles(n)) == expected
             assert len(naive_quandle_classes(n)) == expected
+        # Ho-Nelson, Matrices and finite quandles (2005); OEIS A181769.
+        assert [len(enumerate_quandles(n)) for n in range(1, 7)] == [1, 1, 3, 7, 22, 73]
         rows = flat_connected_census(6)
         survivors = {row.order: row.survivors for row in rows}
         assert [len(survivors[n]) for n in range(1, 7)] == [1, 0, 1, 0, 1, 0]

@@ -202,12 +202,14 @@ def test_round_trip_through_cli(capsys, tmp_path):
 
 
 def test_census_table(capsys):
-    code, out, _ = run(capsys, "census", "--max-order", "4")
+    code, out, _ = run(capsys, "census", "--max-order", "6")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "order 1: 1 classes, 1 flat+connected (dihedral(1))"
     assert lines[2] == "order 3: 3 classes, 1 flat+connected (dihedral(3))"
     assert lines[3] == "order 4: 7 classes, 0 flat+connected"
+    assert lines[4] == "order 5: 22 classes, 1 flat+connected (dihedral(5))"
+    assert lines[5] == "order 6: 73 classes, 0 flat+connected"
 
 
 def test_census_json_and_bounds(capsys):

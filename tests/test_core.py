@@ -32,6 +32,7 @@ from helpers import (
     first_axiom_violation,
     geometric_dihedral_table,
     naive_quandle_classes,
+    orbit_quandle_classes,
     relabeled_table,
 )
 
@@ -316,18 +317,25 @@ def test_enumeration_matches_naive_oracle(n):
     assert sorted(matches) == list(range(len(ours)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_enumeration_matches_orbit_oracle(n):
+    # The oracle has no symmetry breaking at row 0 and dedupes by full orbits.
+    assert [q.table for q in enumerate_quandles(n)] == orbit_quandle_classes(n)
+
+
 def test_enumeration_output_is_canonical_and_valid():
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         for q in enumerate_quandles(n):
             assert verify_axioms(q.table).ok
             assert canonical_table(q) == q.table
 
 
 def test_enumeration_reps_pairwise_nonisomorphic():
-    qs = enumerate_quandles(4)
-    for i in range(len(qs)):
-        for j in range(i + 1, len(qs)):
-            assert find_isomorphism(qs[i], qs[j]) is None
+    for n in (4, 5):
+        qs = enumerate_quandles(n)
+        for i in range(len(qs)):
+            for j in range(i + 1, len(qs)):
+                assert find_isomorphism(qs[i], qs[j]) is None
 
 
 def test_enumeration_rejects_out_of_range():
