@@ -14,7 +14,6 @@ from .core import (
     PointMap,
     enumerate_quandles,
     find_isomorphism,
-    iter_isomorphisms,
 )
 from .errors import (
     BadComponentSizeError,
@@ -24,13 +23,8 @@ from .errors import (
     VerificationError,
 )
 from .graphs import SimpleGraph, is_vertex_transitive
-from .permgroup import (
-    DEFAULT_ELEMENT_CAP,
-    PermGroup,
-    Permutation,
-    _noncommuting_pair,
-    _row_kernel,
-)
+from .permgroup import PermGroup, Permutation, _inverse, _noncommuting_pair, _row_kernel
+from .search import automorphism_generators, quandle_structure
 
 DEFAULT_AUT_POINT_CAP = 16
 
@@ -38,13 +32,6 @@ DEFAULT_AUT_POINT_CAP = 16
 def inner_group(q: FiniteQuandle) -> PermGroup:
     """Group generated by the point symmetries (the rows, deduplicated)."""
     return PermGroup(q.size, [Permutation(r) for r in dict.fromkeys(q.table)])
-
-
-def _inverse(row: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(row)
-    for y, v in enumerate(row):
-        inv[v] = y
-    return tuple(inv)
 
 
 def _displacement_generators(q: FiniteQuandle) -> list[tuple[int, ...]]:
@@ -78,24 +65,16 @@ def automorphism_group(
     q: FiniteQuandle,
     *,
     point_cap: int = DEFAULT_AUT_POINT_CAP,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> PermGroup:
-    """All table-preserving bijections, fully materialized by backtracking."""
+    """All table-preserving bijections, as a strong generating set found by
+    the orbit-pruned search of quandles.search; no element is listed."""
     if q.size > point_cap:
         raise ResourceLimitError(
-            f"quandle has {q.size} points, above the automorphism cap {point_cap}"
+            f"quandle has {q.size} points, above the automorphism cap {point_cap}; "
+            "raise point_cap to search further"
         )
-    found = []
-    for images in iter_isomorphisms(q, q, node_budget=node_budget):
-        found.append(Permutation(images))
-        if len(found) > element_cap:
-            # A caught error's traceback keeps this frame and its locals alive.
-            found = None
-            raise ResourceLimitError(
-                f"automorphism group exceeded element cap {element_cap}"
-            )
-    return PermGroup(q.size, found, elements=found)
+    return PermGroup(q.size, automorphism_generators(quandle_structure(q.table), node_budget))
 
 
 def connected_components(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:
@@ -183,7 +162,6 @@ def property_report(
     q: FiniteQuandle,
     *,
     point_cap: int = DEFAULT_AUT_POINT_CAP,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> PropertyReport:
     """Compute every property flag; homogeneity falls back to unknown (None)
@@ -215,9 +193,7 @@ def property_report(
 
     homogeneous: bool | None
     try:
-        aut = automorphism_group(
-            q, point_cap=point_cap, element_cap=element_cap, node_budget=node_budget
-        )
+        aut = automorphism_group(q, point_cap=point_cap, node_budget=node_budget)
         orbits = aut.orbits()
         homogeneous = len(orbits) == 1
         if not homogeneous:
@@ -302,15 +278,12 @@ def characterize(
     q: FiniteQuandle,
     *,
     point_cap: int = DEFAULT_AUT_POINT_CAP,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Characterization:
     components = connected_components(q)
     size_two = all(len(c) == 2 for c in components)
     crossed = _crossed_witness(q) is None
-    aut = automorphism_group(
-        q, point_cap=point_cap, element_cap=element_cap, node_budget=node_budget
-    )
+    aut = automorphism_group(q, point_cap=point_cap, node_budget=node_budget)
     homogeneous = aut.is_transitive()
     graph = relabeling = vertex_transitive = None
     if size_two and crossed:
@@ -345,17 +318,16 @@ def group_chain(
     q: FiniteQuandle,
     *,
     point_cap: int = DEFAULT_AUT_POINT_CAP,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> GroupChain:
-    """Materialize displacement, even-inner, inner and automorphism groups
-    and verify the inclusions between consecutive ones."""
+    """The displacement, even-inner, inner and automorphism groups, with
+    each inclusion between consecutive ones verified by sifting the
+    smaller group's generators through the larger group's stabilizer
+    chain, and each order checked to divide the next."""
     dis = displacement_group(q)
     even = even_inner_group(q)
     inn = inner_group(q)
-    aut = automorphism_group(
-        q, point_cap=point_cap, element_cap=element_cap, node_budget=node_budget
-    )
+    aut = automorphism_group(q, point_cap=point_cap, node_budget=node_budget)
     chain = [
         ("displacement", dis, "even-inner", even),
         ("even-inner", even, "inner", inn),
@@ -363,18 +335,16 @@ def group_chain(
     ]
     orders = []
     for name_small, small, name_big, big in chain:
-        small_set = set(small.closure(element_cap))
-        big_set = set(big.closure(element_cap))
-        if not small_set <= big_set:
+        if not all(g in big for g in small.generators):
             raise VerificationError(
                 f"{name_small} group is not contained in the {name_big} group"
             )
-        if len(big_set) % len(small_set) != 0:
+        if big.order() % small.order() != 0:
             raise VerificationError(
                 f"order of the {name_small} group does not divide that of the {name_big} group"
             )
-        orders.append(len(small_set))
-    orders.append(aut.order(element_cap))
+        orders.append(small.order())
+    orders.append(aut.order())
     return GroupChain(dis, even, inn, aut, tuple(orders))
 
 

@@ -18,8 +18,9 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .errors import AxiomError, InputError, ResourceLimitError
+from .errors import AxiomError, InputError
 from .permgroup import Permutation, _cycle_type, _row_kernel
+from .search import isomorphisms, quandle_structure
 
 DEFAULT_NODE_BUDGET = 10**7
 ENUMERATION_CAP = 6
@@ -219,78 +220,18 @@ def is_homomorphism(f: PointMap, q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
 def iter_isomorphisms(q1: FiniteQuandle, q2: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET):
     """Yield every bijective homomorphism q1 -> q2 as an image tuple.
 
-    Backtracking over point images, pruned by row cycle types and by
-    forced assignments: once x and y have images, table[x][y] is forced.
-    Exceeding node_budget raises ResourceLimitError rather than ending
-    the search quietly.
+    Backtracking over point images (see quandles.search), pruned by row
+    cycle types, by pair invariants, and by forced assignments: once x
+    and y have images, table[x][y] is forced.  Exceeding node_budget
+    raises ResourceLimitError rather than ending the search quietly.
     """
-    n = q1.size
-    if q2.size != n:
+    if q2.size != q1.size:
         return
-    t1, t2 = q1.table, q2.table
-    ct1 = [_cycle_type(r) for r in t1]
-    ct2 = [_cycle_type(r) for r in t2]
-    if sorted(ct1) != sorted(ct2):
+    s1 = quandle_structure(q1.table)
+    s2 = s1 if q2.table == q1.table else quandle_structure(q2.table)
+    if sorted(s1.invariants) != sorted(s2.invariants):
         return
-    cands = [tuple(y for y in range(n) if ct2[y] == ct1[x]) for x in range(n)]
-
-    img = [-1] * n
-    pre = [-1] * n
-    nodes = 0
-
-    def assign(x, y, trail):
-        if img[x] >= 0:
-            return img[x] == y
-        if pre[y] >= 0 or ct1[x] != ct2[y]:
-            return False
-        img[x] = y
-        pre[y] = x
-        trail.append(x)
-        return True
-
-    def settle(trail):
-        qi = 0
-        while qi < len(trail):
-            x = trail[qi]
-            qi += 1
-            y = img[x]
-            for a in range(n):
-                b = img[a]
-                if b < 0:
-                    continue
-                if not assign(t1[x][a], t2[y][b], trail):
-                    return False
-                if not assign(t1[a][x], t2[b][y], trail):
-                    return False
-        return True
-
-    def undo(trail):
-        while trail:
-            x = trail.pop()
-            pre[img[x]] = -1
-            img[x] = -1
-
-    def dfs(k):
-        nonlocal nodes
-        while k < n and img[k] >= 0:
-            k += 1
-        if k == n:
-            yield tuple(img)
-            return
-        for y in cands[k]:
-            if pre[y] >= 0:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise ResourceLimitError(
-                    f"isomorphism search exhausted its node budget ({node_budget})"
-                )
-            trail = []
-            if assign(k, y, trail) and settle(trail):
-                yield from dfs(k + 1)
-            undo(trail)
-
-    yield from dfs(0)
+    yield from isomorphisms(s1, s2, node_budget)
 
 
 def find_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET) -> PointMap | None:

@@ -11,6 +11,7 @@ import itertools
 
 from .errors import InputError, ResourceLimitError
 from .permgroup import PermGroup, Permutation
+from .search import Structure, automorphism_generators, graph_structure, isomorphisms
 
 DEFAULT_VERTEX_CAP = 12
 
@@ -98,50 +99,24 @@ def _vertex_profiles(g: SimpleGraph) -> list[tuple]:
     ]
 
 
-def graph_automorphisms(g: SimpleGraph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> PermGroup:
-    """The full automorphism group, materialized.
+def _structure(g: SimpleGraph) -> Structure:
+    return graph_structure(_adjacency_masks(g), _vertex_profiles(g))
 
-    Plain backtracking over vertex images with degree and
-    neighbor-degree-multiset pruning; adequate for the small graphs in
-    scope, no canonical-labeling machinery.
+
+def graph_automorphisms(g: SimpleGraph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> PermGroup:
+    """The automorphism group, as a strong generating set.
+
+    Found by the search of quandles.search on the adjacency relation,
+    with vertices pruned by degree and neighbor-degree multiset; no
+    element is listed.
     """
     n = g.vertex_count
     if n > vertex_cap:
         raise ResourceLimitError(
-            f"graph has {n} vertices, above the automorphism cap {vertex_cap}"
+            f"graph has {n} vertices, above the automorphism cap {vertex_cap}; "
+            "raise vertex_cap to search further"
         )
-    masks = _adjacency_masks(g)
-    profiles = _vertex_profiles(g)
-    cands = [
-        [w for w in range(n) if profiles[w] == profiles[v]] for v in range(n)
-    ]
-    img = [-1] * n
-    used = [False] * n
-    found = []
-
-    def dfs(v):
-        if v == n:
-            found.append(Permutation(tuple(img)))
-            return
-        mv = masks[v]
-        for w in cands[v]:
-            if used[w]:
-                continue
-            mw = masks[w]
-            ok = True
-            for u in range(v):
-                if ((mv >> u) & 1) != ((mw >> img[u]) & 1):
-                    ok = False
-                    break
-            if ok:
-                img[v] = w
-                used[w] = True
-                dfs(v + 1)
-                used[w] = False
-                img[v] = -1
-
-    dfs(0)
-    return PermGroup(n, found, elements=found)
+    return PermGroup(n, automorphism_generators(_structure(g)))
 
 
 def is_vertex_transitive(g: SimpleGraph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> bool:
@@ -160,41 +135,14 @@ def find_graph_isomorphism(g1: SimpleGraph, g2: SimpleGraph, *, vertex_cap: int 
         return None
     if n > vertex_cap:
         raise ResourceLimitError(
-            f"graphs have {n} vertices, above the isomorphism cap {vertex_cap}"
+            f"graphs have {n} vertices, above the isomorphism cap {vertex_cap}; "
+            "raise vertex_cap to search further"
         )
-    p1, p2 = _vertex_profiles(g1), _vertex_profiles(g2)
-    if sorted(p1) != sorted(p2):
+    s1, s2 = _structure(g1), _structure(g2)
+    if sorted(s1.invariants) != sorted(s2.invariants):
         return None
-    m1, m2 = _adjacency_masks(g1), _adjacency_masks(g2)
-    cands = [[w for w in range(n) if p2[w] == p1[v]] for v in range(n)]
-    img = [-1] * n
-    used = [False] * n
-
-    def dfs(v):
-        if v == n:
-            return True
-        mv = m1[v]
-        for w in cands[v]:
-            if used[w]:
-                continue
-            mw = m2[w]
-            ok = True
-            for u in range(v):
-                if ((mv >> u) & 1) != ((mw >> img[u]) & 1):
-                    ok = False
-                    break
-            if ok:
-                img[v] = w
-                used[w] = True
-                if dfs(v + 1):
-                    return True
-                used[w] = False
-                img[v] = -1
-        return False
-
-    if dfs(0):
-        return Permutation(tuple(img))
-    return None
+    images = next(isomorphisms(s1, s2), None)
+    return None if images is None else Permutation(images)
 
 
 def empty(n: int) -> SimpleGraph:

@@ -1,8 +1,11 @@
-"""Minimal permutation-group kernel: composition, closure, orbits, transitivity.
+"""Permutation-group kernel: composition, stabilizer chains, orbits,
+transitivity.
 
-Groups are given by generators and materialized by plain breadth-first
-products; no stabilizer chains.  Every group in scope here is tiny, so
-simplicity and auditability win over asymptotics.
+Groups are given by generators.  Order and membership are decided on a
+stabilizer chain built by deterministic Schreier-Sims (Sims 1970;
+Seress, Permutation Group Algorithms, CUP 2003, ch. 4) on raw image
+tuples; orbits, transitivity and abelianness need only the generators.
+No element is listed unless closure() is asked for.
 """
 
 from __future__ import annotations
@@ -13,6 +16,15 @@ from dataclasses import dataclass
 from .errors import InputError, ResourceLimitError
 
 DEFAULT_ELEMENT_CAP = 10**6
+
+
+def _compose(a, b):
+    """Images of a o b (apply b first) for image tuples."""
+    return tuple(map(a.__getitem__, b))
+
+
+def _inverse(a):
+    return tuple(sorted(range(len(a)), key=a.__getitem__))
 
 
 @dataclass(frozen=True, order=True)
@@ -44,16 +56,12 @@ class Permutation:
             raise InputError(
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
-        a, b = self.images, other.images
-        return Permutation(tuple(a[b[i]] for i in range(len(a))))
+        return Permutation(_compose(self.images, other.images))
 
     __mul__ = compose
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Permutation(tuple(inv))
+        return Permutation(_inverse(self.images))
 
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images))
@@ -116,15 +124,110 @@ def _noncommuting_pair(rows):
     return None
 
 
+class _Level:
+    """One level of a stabilizer chain: a base point, the strong
+    generators that fix the earlier base points, and the transversal
+    {p: (u, u^-1)} over the orbit of the base point, with u(point) = p."""
+
+    __slots__ = ("point", "gens", "transversal")
+
+    def __init__(self, point, degree):
+        ident = tuple(range(degree))
+        self.point = point
+        self.gens = []
+        self.transversal = {point: (ident, ident)}
+
+    def build_transversal(self):
+        trans = {self.point: self.transversal[self.point]}
+        queue = [self.point]
+        for p in queue:
+            u = trans[p][0]
+            for s in self.gens:
+                q = s[p]
+                if q not in trans:
+                    v = _compose(s, u)
+                    trans[q] = (v, _inverse(v))
+                    queue.append(q)
+        self.transversal = trans
+
+
+def _sift(chain, g, start):
+    """Strip g through chain[start:]: the residue and the index of the
+    level where it left the chain (len(chain) if it went through)."""
+    for j in range(start, len(chain)):
+        level = chain[j]
+        u = level.transversal.get(g[level.point])
+        if u is None:
+            return g, j
+        g = _compose(u[1], g)
+    return g, len(chain)
+
+
+def _schreier_sims(degree, gens) -> list[_Level]:
+    """A stabilizer chain of the group generated by gens (image tuples).
+
+    Deterministic Schreier-Sims: check every Schreier generator
+    u_{s(p)}^-1 s u_p of a level by sifting it through the deeper levels,
+    starting from the deepest level.  A residue that does not sift to the
+    identity becomes a strong generator of every level it fixes the base
+    points of (with a new base point if it fixes them all), and checking
+    resumes at the deepest level it was added to.  When no level leaves a
+    residue, each level's strong generators generate the pointwise
+    stabilizer of the earlier base points.
+    """
+    ident = tuple(range(degree))
+    gens = [g for g in gens if g != ident]
+    chain = []
+    for g in gens:
+        if all(g[level.point] == level.point for level in chain):
+            chain.append(_Level(next(x for x in ident if g[x] != x), degree))
+    for j, level in enumerate(chain):
+        fixed = [chain[k].point for k in range(j)]
+        level.gens = [g for g in gens if all(g[b] == b for b in fixed)]
+        level.build_transversal()
+
+    i = len(chain) - 1
+    while i >= 0:
+        residue = _schreier_residue(chain, i, ident)
+        if residue is None:
+            i -= 1
+            continue
+        h, j = residue
+        if j == len(chain):
+            chain.append(_Level(next(x for x in ident if h[x] != x), degree))
+        for level in chain[i + 1 : j + 1]:
+            level.gens.append(h)
+            level.build_transversal()
+        i = j
+    return chain
+
+
+def _schreier_residue(chain, i, ident):
+    """The first Schreier generator of level i that does not sift to the
+    identity through the deeper levels, as (residue, level reached), or None."""
+    trans = chain[i].transversal
+    for p, (u, _) in trans.items():
+        for s in chain[i].gens:
+            su = _compose(s, u)
+            v, v_inv = trans[s[p]]
+            if su == v:
+                continue
+            h, j = _sift(chain, _compose(v_inv, su), i + 1)
+            if j < len(chain) or h != ident:
+                return h, j
+    return None
+
+
 class PermGroup:
     """A permutation group presented by generators.
 
-    The full element set is materialized on demand and cached; element
-    order in all outputs is lexicographic on images, so results are
-    reproducible.
+    Order and membership are decided on a stabilizer chain, built on
+    first use by deterministic Schreier-Sims and cached.  Elements are
+    listed only by closure(), in lexicographic order of images, so
+    results are reproducible.
     """
 
-    def __init__(self, degree, generators=(), *, elements=None):
+    def __init__(self, degree, generators=()):
         gens = []
         seen = set()
         for g in generators:
@@ -139,47 +242,53 @@ class PermGroup:
                 gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
-        self._elements = frozenset(elements) if elements is not None else None
+        self._chain = None
         self._sorted = None
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"
 
+    def _stabilizer_chain(self) -> list[_Level]:
+        if self._chain is None:
+            self._chain = _schreier_sims(self.degree, [g.images for g in self.generators])
+        return self._chain
+
+    def order(self) -> int:
+        """Product of the basic orbit sizes of the stabilizer chain."""
+        out = 1
+        for level in self._stabilizer_chain():
+            out *= len(level.transversal)
+        return out
+
+    def __contains__(self, perm) -> bool:
+        """Membership by sifting through the stabilizer chain."""
+        if not isinstance(perm, Permutation) or perm.degree != self.degree:
+            return False
+        chain = self._stabilizer_chain()
+        residue, depth = _sift(chain, perm.images, 0)
+        return depth == len(chain) and residue == tuple(range(self.degree))
+
     def closure(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[Permutation, ...]:
-        """All elements, via breadth-first products of generators."""
-        if self._elements is None:
-            ident = Permutation.identity(self.degree)
-            els = {ident}
-            els.update(self.generators)
-            frontier = list(self.generators)
-            while frontier:
-                new = []
-                for b in frontier:
-                    for a in self.generators:
-                        c = a.compose(b)
-                        if c not in els:
-                            if len(els) >= cap:
-                                # A caught error's traceback keeps this
-                                # frame and its locals alive.
-                                els = frontier = new = None
-                                raise ResourceLimitError(
-                                    f"group closure exceeded element cap {cap}"
-                                )
-                            els.add(c)
-                            new.append(c)
-                frontier = new
-            self._elements = frozenset(els)
+        """All elements, sorted by images: the products u_1 o ... o u_k of
+        one transversal element per level of the stabilizer chain.
+
+        A group of more than cap elements is refused before any element
+        is built.
+        """
         if self._sorted is None:
-            self._sorted = tuple(sorted(self._elements))
+            order = self.order()
+            if order > cap:
+                raise ResourceLimitError(
+                    f"group has {order} elements, above the closure cap {cap}; "
+                    "pass a larger cap to closure() to list them"
+                )
+            elements = [tuple(range(self.degree))]
+            for level in reversed(self._stabilizer_chain()):
+                elements = [
+                    _compose(u, e) for u, _ in level.transversal.values() for e in elements
+                ]
+            self._sorted = tuple(Permutation(e) for e in sorted(elements))
         return self._sorted
-
-    def order(self, cap: int = DEFAULT_ELEMENT_CAP) -> int:
-        return len(self.closure(cap))
-
-    def __contains__(self, perm: Permutation) -> bool:
-        self.closure()
-        return perm in self._elements
-
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of the points; blocks sorted by minimum element."""
         parent = list(range(self.degree))

@@ -1,0 +1,248 @@
+"""Backtracking search for isomorphisms and automorphisms of finite
+relational structures.
+
+The search sees a structure on points 0..n-1 as three things:
+
+- an invariant per point: x may only map to a point with the same
+  invariant;
+- a colour per ordered pair of points, itself an isomorphism invariant:
+  once x maps to y, any other point a may only map to a point b with
+  colour(y, b) == colour(x, a);
+- optionally a binary operation, given as a table: once x and a have
+  images y and b, the image of table[x][a] is forced to be table[y][b],
+  and that of table[a][x] to be table[b][y].
+
+A graph is its adjacency relation (colour 1 on an edge) with no
+operation.  A quandle's colour records whether s_x fixes a, whether s_a
+fixes x and whether s_x = s_a, and its table is the operation.
+
+The candidate images of every unassigned point are kept as a bitmask
+and narrowed at each assignment.  The search branches on the unassigned
+point with the fewest candidates, ties going to the lowest index, and
+keeps its own stack, so its depth is bounded by memory and not by the
+recursion limit.  Each tried assignment is one node of the node budget.
+
+Automorphisms come back as a strong generating set, with automorphism
+pruning in the manner of McKay and Piperno (Practical graph isomorphism
+II, JSC 2014): see automorphism_generators.
+"""
+
+from __future__ import annotations
+
+from .errors import ResourceLimitError
+from .permgroup import _cycle_type
+
+# Colours are below 8: three bits for a quandle, one for a graph.
+PALETTE = 8
+
+
+class Structure:
+    """Points with invariants, colours of ordered pairs and an optional table."""
+
+    __slots__ = ("size", "invariants", "colours", "table")
+
+    def __init__(self, invariants, colours, table=None):
+        self.size = len(invariants)
+        self.invariants = invariants
+        self.colours = colours
+        self.table = table
+
+
+def quandle_structure(rows) -> Structure:
+    """The quandle with these rows: row cycle types, fixing and equal-row
+    colours, and the table as the operation."""
+    n = len(rows)
+    row_ids = {}
+    ids = [row_ids.setdefault(r, len(row_ids)) for r in rows]
+    colours = [
+        bytes(
+            (rx[a] == a) | (rows[a][x] == x) << 1 | (ids[a] == ix) << 2
+            for a in range(n)
+        )
+        for x, (rx, ix) in enumerate(zip(rows, ids))
+    ]
+    return Structure([_cycle_type(r) for r in rows], colours, rows)
+
+
+def graph_structure(masks, invariants) -> Structure:
+    """The graph with these adjacency bitmasks and vertex invariants."""
+    n = len(masks)
+    return Structure(invariants, [bytes(m >> a & 1 for a in range(n)) for m in masks])
+
+
+def _pick(img, dom):
+    """The unassigned point with the fewest candidates (lowest index on
+    ties), or -1 when every point is assigned."""
+    best, fewest = -1, 0
+    for a, d in enumerate(dom):
+        if img[a] < 0:
+            c = d.bit_count()
+            if best < 0 or c < fewest:
+                best, fewest = a, c
+                if c <= 1:
+                    break
+    return best
+
+
+class _Search:
+    """Maps from s1 onto s2, one partial map at a time.
+
+    A partial map is (img, dom): img[x] is the image of x or -1, and
+    dom[x] the bitmask of candidate images of an unassigned x.
+    """
+
+    def __init__(self, s1: Structure, s2: Structure, node_budget):
+        self.n = s1.size
+        self.colours = s1.colours
+        self.tables = (s1.table, s2.table)
+        self.node_budget = node_budget
+        self.nodes = 0
+        # masks[y][c]: the points b with colours[y][b] == c on the s2 side.
+        self.masks = []
+        for row in s2.colours:
+            m = [0] * PALETTE
+            for b, c in enumerate(row):
+                m[c] |= 1 << b
+            self.masks.append(m)
+        by_invariant = {}
+        for y, v in enumerate(s2.invariants):
+            by_invariant[v] = by_invariant.get(v, 0) | 1 << y
+        self.domains = [by_invariant.get(v, 0) for v in s1.invariants]
+
+    def start(self):
+        """The empty partial map: every point may go to any point with its invariant."""
+        return [-1] * self.n, self.domains[:]
+
+    def node(self):
+        self.nodes += 1
+        if self.node_budget is not None and self.nodes > self.node_budget:
+            raise ResourceLimitError(
+                f"isomorphism search exhausted its node budget ({self.node_budget}); "
+                "raise node_budget (QUANDLES_NODE_BUDGET on the command line) to search further"
+            )
+
+    def extend(self, img, dom, x, y) -> bool:
+        """Assign x -> y and everything it forces, narrowing the candidates
+        of the other points; False on a contradiction."""
+        n, colours, masks = self.n, self.colours, self.masks
+        t1, t2 = self.tables
+        pending = [(x, y)]
+        while pending:
+            x, y = pending.pop()
+            if img[x] >= 0:
+                if img[x] != y:
+                    return False
+                continue
+            if not dom[x] >> y & 1:
+                return False
+            img[x] = y
+            cx, my, keep = colours[x], masks[y], ~(1 << y)
+            for a in range(n):
+                if img[a] < 0:
+                    d = dom[a] & my[cx[a]] & keep
+                    if not d:
+                        return False
+                    dom[a] = d
+            if t1 is not None:
+                r1, r2 = t1[x], t2[y]
+                for a, b in enumerate(img):
+                    if b >= 0:
+                        for c, z in ((r1[a], r2[b]), (t1[a][x], t2[b][y])):
+                            if img[c] != z:
+                                if img[c] >= 0:
+                                    return False
+                                pending.append((c, z))
+        return True
+
+    def completions(self, img, dom):
+        """Yield every complete map extending a consistent partial map,
+        as an image tuple, depth first with candidates in increasing order."""
+        x = _pick(img, dom)
+        if x < 0:
+            yield tuple(img)
+            return
+        stack = [(x, dom[x], img, dom)]
+        while stack:
+            x, cands, img, dom = stack.pop()
+            if not cands:
+                continue
+            low = cands & -cands
+            stack.append((x, cands ^ low, img, dom))
+            self.node()
+            child_img, child_dom = img[:], dom[:]
+            if self.extend(child_img, child_dom, x, low.bit_length() - 1):
+                nxt = _pick(child_img, child_dom)
+                if nxt < 0:
+                    yield tuple(child_img)
+                else:
+                    stack.append((nxt, child_dom[nxt], child_img, child_dom))
+
+
+def isomorphisms(s1: Structure, s2: Structure, node_budget=None):
+    """Yield every isomorphism s1 -> s2 as an image tuple.
+
+    node_budget None means no limit; otherwise exceeding it raises
+    ResourceLimitError.
+    """
+    search = _Search(s1, s2, node_budget)
+    yield from search.completions(*search.start())
+
+
+def automorphism_generators(s: Structure, node_budget=None) -> list[tuple[int, ...]]:
+    """A strong generating set of Aut(s), as image tuples.
+
+    First the base: fix the branching point of the search to itself,
+    again and again, until every point is assigned (the identity path).
+    Level i holds the base point b_i and the partial map that fixes
+    b_1..b_{i-1}.  Then, from the deepest level up, look for one
+    automorphism that fixes b_1..b_{i-1} and maps b_i to y, for each
+    candidate y that is neither in b_i's orbit under the generators
+    found so far nor in the orbit of a y that failed at this level
+    (those fail as well).  The generators found at levels i and deeper
+    generate the stabilizer of b_1..b_{i-1}, whose orbit of b_i they
+    reach, so together they are a strong generating set for this base.
+    """
+    search = _Search(s, s, node_budget)
+    img, dom = search.start()
+    levels = []
+    while True:
+        b = _pick(img, dom)
+        if b < 0:
+            break
+        levels.append((b, dom[b], img[:], dom[:]))
+        search.node()
+        search.extend(img, dom, b, b)
+
+    parent = list(range(s.size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    gens = []
+    for b, cands, img, dom in reversed(levels):
+        failed = []
+        cands &= ~(1 << b)
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            y = low.bit_length() - 1
+            root = find(y)
+            if root == find(b) or any(find(f) == root for f in failed):
+                continue
+            search.node()
+            child_img, child_dom = img[:], dom[:]
+            g = None
+            if search.extend(child_img, child_dom, b, y):
+                g = next(search.completions(child_img, child_dom), None)
+            if g is None:
+                failed.append(y)
+                continue
+            gens.append(g)
+            for x, gx in enumerate(g):
+                rx, rg = find(x), find(gx)
+                if rx != rg:
+                    parent[rg] = rx
+    return gens

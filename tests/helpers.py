@@ -281,3 +281,123 @@ def first_noncommuting_rows(table):
             if any(table[x][table[y][z]] != table[y][table[x][z]] for z in range(n)):
                 return (x, y)
     return None
+
+
+def cycle_type(perm):
+    """Sorted cycle lengths of a permutation given by its images."""
+    seen = [False] * len(perm)
+    lengths = []
+    for x in range(len(perm)):
+        length = 0
+        while not seen[x]:
+            seen[x] = True
+            x = perm[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def quandle_automorphisms(table):
+    """Every automorphism of a quandle table as an image tuple, in
+    lexicographic order, by the materializing backtracking the library
+    used before it returned generators: points are given images in index
+    order, each only onto a point whose row has the same cycle type, and
+    once x and y have images the images of table[x][y] and table[y][x]
+    are forced.  Its node count grows with |Aut| and, on unlucky point
+    orders, far beyond it."""
+    n = len(table)
+    types = [cycle_type(r) for r in table]
+    img = [-1] * n
+    pre = [-1] * n
+    found = []
+
+    def assign(x, y, trail):
+        if img[x] >= 0:
+            return img[x] == y
+        if pre[y] >= 0 or types[x] != types[y]:
+            return False
+        img[x] = y
+        pre[y] = x
+        trail.append(x)
+        return True
+
+    def settle(trail):
+        i = 0
+        while i < len(trail):
+            x = trail[i]
+            i += 1
+            for a in range(n):
+                b = img[a]
+                if b < 0:
+                    continue
+                if not assign(table[x][a], table[img[x]][b], trail):
+                    return False
+                if not assign(table[a][x], table[b][img[x]], trail):
+                    return False
+        return True
+
+    def dfs(k):
+        while k < n and img[k] >= 0:
+            k += 1
+        if k == n:
+            found.append(tuple(img))
+            return
+        for y in range(n):
+            if pre[y] >= 0 or types[y] != types[k]:
+                continue
+            trail = []
+            if assign(k, y, trail) and settle(trail):
+                dfs(k + 1)
+            while trail:
+                x = trail.pop()
+                pre[img[x]] = -1
+                img[x] = -1
+
+    dfs(0)
+    return found
+
+
+def closure_by_products(degree, gens):
+    """The set of all products of the generators (image tuples), by
+    breadth-first search from the identity."""
+    elements = {tuple(range(degree))}
+    frontier = list(elements)
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in gens:
+                p = tuple(g[i] for i in e)
+                if p not in elements:
+                    elements.add(p)
+                    new.append(p)
+        frontier = new
+    return elements
+
+
+def orbit_partition(degree, perms):
+    """Orbits of the points under the permutations, as sorted tuples
+    sorted by their smallest point."""
+    blocks = []
+    seen = set()
+    for x in range(degree):
+        if x in seen:
+            continue
+        block = {x}
+        queue = [x]
+        for y in queue:
+            for p in perms:
+                if p[y] not in block:
+                    block.add(p[y])
+                    queue.append(p[y])
+        seen |= block
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
+
+
+def conjugate(perm, sigma):
+    """sigma o perm o sigma^-1 on image tuples: perm carried along sigma."""
+    inv = [0] * len(sigma)
+    for x, y in enumerate(sigma):
+        inv[y] = x
+    return tuple(sigma[perm[inv[i]]] for i in range(len(sigma)))

@@ -124,13 +124,13 @@ def test_criterion_3_homogeneity_matches_vertex_transitivity():
             t0 = time.perf_counter()
             expected = graphs.is_vertex_transitive(g)
             q = from_graph(g)
-            aut = automorphism_group(q)  # full materialization, <= 16 points
+            aut = automorphism_group(q)  # generators; <= 16 points
             assert aut.is_transitive() == expected, name
             assert time.perf_counter() - t0 < 10.0, name
         assert all(graphs.is_vertex_transitive(g) for _, g in transitive)
         assert not any(graphs.is_vertex_transitive(g) for _, g in intransitive)
 
-        # Petersen graph: its quandle has 20 points, past the materialization
+        # Petersen graph: its quandle has 20 points, past the automorphism
         # cap, so transitivity of its automorphism group is witnessed
         # constructively instead: lifts (v,a) -> (phi(v),a) of graph
         # automorphisms reach every fiber from (0,0), and single-fiber flips

@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandles import (
     BadComponentSizeError,
@@ -11,12 +14,14 @@ from quandles import (
     PointMap,
     ResourceLimitError,
     SimpleGraph,
+    VerificationError,
     aknn,
     automorphism_group,
     characterize,
     connected_components,
     dihedral,
     displacement_group,
+    enumerate_quandles,
     even_inner_group,
     find_isomorphism,
     flat_connected_census,
@@ -32,10 +37,14 @@ from quandles import (
 from quandles.graphs import find_graph_isomorphism
 
 from helpers import (
+    closure_by_products,
+    conjugate,
     first_noncommuting_products,
     first_noncommuting_rows,
     gf2_rank,
     labelled_products,
+    orbit_partition,
+    quandle_automorphisms,
     random_edge_set,
     relabeled_table,
 )
@@ -52,6 +61,15 @@ def small_suite(rng):
 
 
 # ------------------------------------------------------------ symmetry groups
+
+def test_inner_order_of_the_cycle30_graph_quandle_is_two_to_the_gf2_rank():
+    g = graphs.cycle(30)
+    masks = [0] * 30
+    for u, v in g.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    assert inner_group(from_graph(g)).order() == 2 ** gf2_rank(masks, 30) == 2**28
+
 
 def test_inner_group_of_trivial_quandle():
     for n in (1, 3, 5):
@@ -153,11 +171,71 @@ def test_graph_automorphism_lifts_are_quandle_automorphisms():
         assert is_homomorphism(lift, q, q)
 
 
+def assert_automorphisms(q, elements):
+    """automorphism_group(q) has exactly these elements (image tuples),
+    from at most n - 1 generators: each one found joins two orbits."""
+    aut = automorphism_group(q)
+    assert len(aut.generators) <= q.size - 1
+    assert aut.order() == len(elements)
+    assert aut.orbits() == orbit_partition(q.size, elements)
+    assert {p.images for p in aut.closure()} == set(elements)
+
+
+def test_automorphisms_match_the_backtracking_oracle_on_small_classes():
+    for n in range(1, 6):
+        for q in enumerate_quandles(n):
+            assert_automorphisms(q, quandle_automorphisms(q.table))
+
+
+def test_automorphisms_match_the_backtracking_oracle_on_relabeled_graph_quandles():
+    # The oracle runs on the natural labels, where its point order is
+    # cheap; Aut of the relabeled quandle is Aut(q) carried along sigma.
+    rng = random.Random(67)
+    named = [graphs.star(6), graphs.cycle(8), graphs.johnson(4, 2), graphs.complete(4), graphs.path(8)]
+    randoms = [SimpleGraph(n, random_edge_set(rng, n)) for n in (5, 6, 7, 8)]
+    for g in named + randoms:
+        q = from_graph(g)
+        oracle = quandle_automorphisms(q.table)
+        for _ in range(3):
+            sigma = rng.sample(range(q.size), q.size)
+            relabeled = FiniteQuandle(relabeled_table(q.table, sigma))
+            assert_automorphisms(relabeled, [conjugate(f, sigma) for f in oracle])
+
+
+RELABEL_TABLES = [q.table for n in range(1, 6) for q in enumerate_quandles(n)] + [
+    from_graph(g).table for g in (graphs.star(5), graphs.cycle(6), graphs.path(5))
+]
+
+
+@st.composite
+def relabeled_pairs(draw):
+    table = draw(st.sampled_from(RELABEL_TABLES))
+    sigma = draw(st.permutations(range(len(table))))
+    return FiniteQuandle(table), FiniteQuandle(relabeled_table(table, sigma))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(relabeled_pairs())
+def test_relabeling_keeps_the_automorphism_order_and_orbit_count(pair):
+    q, relabeled = pair
+    aut, aut_relabeled = automorphism_group(q), automorphism_group(relabeled)
+    assert aut.order() == aut_relabeled.order()
+    assert len(aut.orbits()) == len(aut_relabeled.orbits())
+
+
 def test_automorphism_caps():
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="point_cap"):
         automorphism_group(trivial(17))
-    with pytest.raises(ResourceLimitError):
-        automorphism_group(trivial(8), element_cap=100)
+    # No element is listed, so a large group is no reason to refuse.
+    assert automorphism_group(trivial(8)).order() == math.factorial(8)
+    assert characterize(trivial(12)).homogeneous is True
+
+
+def is_permutation(value):
+    """A Permutation, or a tuple of its images as the kernel keeps them."""
+    if isinstance(value, tuple) and all(isinstance(v, int) for v in value):
+        return len(value) > 1 and sorted(value) == list(range(len(value)))
+    return isinstance(value, Permutation)
 
 
 def permutation_hoards(exc):
@@ -168,7 +246,7 @@ def permutation_hoards(exc):
     while tb is not None:
         for name, value in tb.tb_frame.f_locals.items():
             if isinstance(value, (list, tuple, set, frozenset, dict)):
-                if sum(isinstance(v, Permutation) for v in value) > 8:
+                if sum(is_permutation(v) for v in value) > 8:
                     out.append((tb.tb_frame.f_code.co_name, name))
         tb = tb.tb_next
     return out
@@ -177,7 +255,7 @@ def permutation_hoards(exc):
 @pytest.mark.parametrize(
     "over_cap",
     [
-        lambda: automorphism_group(trivial(8), element_cap=5000),
+        lambda: automorphism_group(trivial(8), node_budget=20),
         lambda: PermGroup(8, [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)]).closure(5000),
     ],
 )
@@ -412,18 +490,35 @@ def test_group_chain_orders():
 
 
 def test_group_chain_inclusions_hold_elementwise():
+    # The element sets come from products of generators and from the
+    # materializing automorphism search, as group_chain computed them
+    # before it worked on stabilizer chains.
     rng = random.Random(29)
     for q in small_suite(rng):
         if q.size > 10:
             continue
         chain = group_chain(q)
-        dis = set(chain.displacement.closure())
-        even = set(chain.even_inner.closure())
-        inn = set(chain.inner.closure())
-        aut = set(chain.aut.closure())
+        dis, even, inn = (
+            closure_by_products(q.size, [p.images for p in g.generators])
+            for g in (chain.displacement, chain.even_inner, chain.inner)
+        )
+        aut = set(quandle_automorphisms(q.table))
         assert dis <= even <= inn <= aut
         for small, big in ((dis, even), (even, inn), (inn, aut)):
             assert len(big) % len(small) == 0
+        assert chain.orders == (len(dis), len(even), len(inn), len(aut))
+        assert {p.images for p in chain.inner.closure()} == inn
+
+
+def test_group_chain_refuses_a_broken_inclusion(monkeypatch):
+    import quandles.analysis as analysis
+
+    # An automorphism "group" holding the first inner generator only.
+    monkeypatch.setattr(
+        analysis, "automorphism_group", lambda q, **_: PermGroup(q.size, inner_group(q).generators[:1])
+    )
+    with pytest.raises(VerificationError, match="inner group is not contained in the automorphism group"):
+        group_chain(dihedral(3))
 
 
 # ------------------------------------------- flat and medial vs brute force

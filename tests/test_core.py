@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -230,8 +231,16 @@ def test_isomorphism_is_symmetric():
 
 def test_search_budget_is_an_error_not_a_no():
     q = trivial(5)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="node_budget .*QUANDLES_NODE_BUDGET"):
         find_isomorphism(q, q, node_budget=3)
+
+
+def test_isomorphism_search_goes_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    q = FiniteQuandle([range(n)] * n, unchecked=True)
+    f = find_isomorphism(q, q)
+    assert f is not None and f.is_bijective()
+    assert is_homomorphism(f, q, q)
 
 
 # ------------------------------------------------------------ subquandles

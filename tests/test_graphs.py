@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -136,6 +137,100 @@ def test_vertex_transitive_implies_regular():
         if is_vertex_transitive(g):
             degrees = {g.degree(v) for v in range(n)}
             assert len(degrees) == 1
+
+
+# ------------------------------------------------------- networkx oracle
+
+COUNT_LIMIT = 6000
+
+
+def nx_graph(g):
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def nx_automorphism_count(g):
+    """|Aut(g)| by VF2, or None when it exceeds COUNT_LIMIT."""
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx_graph(g)
+    count = sum(1 for _ in itertools.islice(GraphMatcher(h, h).isomorphisms_iter(), COUNT_LIMIT + 1))
+    return None if count > COUNT_LIMIT else count
+
+
+def nx_vertex_transitive(g):
+    """Some automorphism maps vertex 0 to each vertex, by VF2 on copies
+    with the two vertices marked."""
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    h = nx_graph(g)
+    for v in range(g.vertex_count):
+        a, b = h.copy(), h.copy()
+        a.nodes[0]["mark"] = b.nodes[v]["mark"] = True
+        same = lambda x, y: x.get("mark", False) == y.get("mark", False)
+        if not GraphMatcher(a, b, node_match=same).is_isomorphic():
+            return False
+    return True
+
+
+def relabeled(g, sigma):
+    return SimpleGraph(g.vertex_count, [(sigma[u], sigma[v]) for u, v in g.edges])
+
+
+def named_graphs():
+    out = [empty(n) for n in (1, 2, 5, 12)] + [complete(n) for n in (1, 3, 6, 12)]
+    out += [cycle(n) for n in (3, 4, 7, 12)] + [path(n) for n in (2, 5, 12)]
+    out += [star(n) for n in (3, 7, 12)]
+    out += [johnson(4, 2), johnson(5, 2), parity_difference(4, 2), parity_difference(5, 2)]
+    out.append(SimpleGraph(10, petersen_edges()))
+    return out
+
+
+def random_graphs(seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(30):
+        n = rng.randint(1, 12)
+        g = SimpleGraph(n, random_edge_set(rng, n, p=rng.choice([0.2, 0.5, 0.8])))
+        out.append(relabeled(g, rng.sample(range(n), n)))
+    return out
+
+
+def test_automorphisms_match_networkx():
+    for g in named_graphs() + random_graphs(79):
+        aut = graph_automorphisms(g)
+        assert len(aut.generators) <= g.vertex_count - 1
+        count = nx_automorphism_count(g)
+        if count is None:
+            assert aut.order() > COUNT_LIMIT
+        else:
+            assert aut.order() == count, g.edge_list()
+        assert is_vertex_transitive(g) == nx_vertex_transitive(g), g.edge_list()
+
+
+def test_isomorphism_verdicts_match_networkx():
+    import networkx as nx
+
+    rng = random.Random(83)
+    for g in named_graphs() + random_graphs(89):
+        n = g.vertex_count
+        others = [relabeled(g, rng.sample(range(n), n))]
+        if g.edges and len(g.edges) < n * (n - 1) // 2:
+            # Move one edge: same edge count, often the same degrees.
+            edges = set(g.edges)
+            edges.remove(rng.choice(sorted(edges)))
+            missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges]
+            edges.add(rng.choice(missing))
+            others.append(relabeled(SimpleGraph(n, edges), rng.sample(range(n), n)))
+        for h in others:
+            p = find_graph_isomorphism(g, h)
+            assert (p is not None) == nx.is_isomorphic(nx_graph(g), nx_graph(h)), (g.edge_list(), h.edge_list())
+            if p is not None:
+                assert {tuple(sorted((p(u), p(v)))) for u, v in g.edges} == set(h.edges)
 
 
 # -------------------------------------------------------------- isomorphism

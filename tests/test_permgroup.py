@@ -71,7 +71,7 @@ def test_inner_group_orders_of_dihedrals():
 
 def test_closure_cap_is_an_error():
     gens = rows_of(dihedral(3))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match="6 elements, above the closure cap 2"):
         PermGroup(3, gens).closure(cap=2)
 
 
@@ -86,6 +86,61 @@ def test_closure_is_closed_and_divides_factorial():
     for a in elements:
         for b in elements:
             assert compose(a, b) in element_set
+
+
+def random_generator_sets(rng):
+    """(degree, generators) of degree <= 12: the trivial group, S_n,
+    random sets (mostly A_n or S_n), and intransitive and imprimitive
+    groups, where membership is not decided by parity."""
+    cases = [
+        (1, []),
+        (6, []),
+        (12, [tuple(range(12))]),
+        (12, [(1, 0) + tuple(range(2, 12)), tuple(range(1, 12)) + (0,)]),
+    ]
+    for _ in range(12):
+        degree = rng.randint(1, 12)
+        cases.append((degree, [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(1, 3))]))
+    for _ in range(12):
+        degree = rng.randint(2, 12)
+        moved = rng.sample(range(degree), rng.randint(2, degree))
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(degree))
+            for x, y in zip(moved, rng.sample(moved, len(moved))):
+                images[x] = y
+            gens.append(tuple(images))
+        cases.append((degree, gens))
+    for _ in range(12):
+        size, count = rng.choice([(2, 3), (2, 4), (3, 3), (2, 6), (3, 4), (4, 3), (2, 5)])
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            blocks = rng.sample(range(count), count)
+            inside = [rng.sample(range(size), size) for _ in range(count)]
+            gens.append(tuple(blocks[b] * size + inside[b][i] for b in range(count) for i in range(size)))
+        cases.append((size * count, gens))
+    return cases
+
+
+def test_order_and_membership_match_sympy():
+    from sympy.combinatorics import Permutation as SymPerm
+    from sympy.combinatorics import PermutationGroup
+
+    rng = random.Random(71)
+    for degree, gens in random_generator_sets(rng):
+        g = PermGroup(degree, gens)
+        oracle = PermutationGroup([SymPerm(list(p)) for p in gens] or [SymPerm(list(range(degree)))])
+        assert g.order() == oracle.order(), (degree, gens)
+        probes = [tuple(rng.sample(range(degree), degree)) for _ in range(10)]
+        for _ in range(10):
+            p = tuple(range(degree))
+            for q in rng.choices(gens, k=4) if gens else []:
+                p = tuple(q[i] for i in p)
+            probes.append(p)
+        for p in probes:
+            assert (Permutation(p) in g) == oracle.contains(SymPerm(list(p))), (degree, gens, p)
+    assert Permutation((1, 0)) not in PermGroup(3)
+    assert (1, 0, 2) not in PermGroup(3, [(1, 0, 2)])
 
 
 # ------------------------------------------------------------------- orbits
