@@ -3,9 +3,9 @@ predicates, graph reconstruction, and the small-order census."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from ._record import Record
 from .constructions import discrete_torus
 from .core import (
     DEFAULT_NODE_BUDGET,
@@ -125,24 +125,50 @@ def _noncommuting_composites(q: FiniteQuandle, *, inverse: bool):
     return labels[pair[0]] + labels[pair[1]]
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(Record):
     """All property flags of one quandle, with counterexample witnesses.
 
     homogeneous is None when the automorphism cap was exceeded; every
     other flag is always decided.  witnesses maps the name of each failed
-    property to a tuple of points exhibiting the failure.
+    property to a tuple of points exhibiting the failure; it defaults to
+    a fresh empty dict.
     """
 
-    connected: bool
-    homogeneous: bool | None
-    flat: bool
-    medial: bool
-    crossed: bool
-    involutive: bool
-    abelian_inn: bool
-    components: tuple[tuple[int, ...], ...]
-    witnesses: dict = field(default_factory=dict)
+    __slots__ = (
+        "connected",
+        "homogeneous",
+        "flat",
+        "medial",
+        "crossed",
+        "involutive",
+        "abelian_inn",
+        "components",
+        "witnesses",
+    )
+
+    def __init__(
+        self,
+        connected: bool,
+        homogeneous: bool | None,
+        flat: bool,
+        medial: bool,
+        crossed: bool,
+        involutive: bool,
+        abelian_inn: bool,
+        components: tuple[tuple[int, ...], ...],
+        witnesses: dict | None = None,
+    ):
+        self._set(
+            connected,
+            homogeneous,
+            flat,
+            medial,
+            crossed,
+            involutive,
+            abelian_inn,
+            components,
+            {} if witnesses is None else witnesses,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -252,8 +278,7 @@ def to_graph(q: FiniteQuandle) -> GraphReconstruction:
     return GraphReconstruction(graph, PointMap(q.size, q.size, tuple(images)))
 
 
-@dataclass(frozen=True)
-class Characterization:
+class Characterization(Record):
     """Verdict on whether a quandle arises from a vertex-transitive graph.
 
     The quandle is of that form iff all three flags hold; when the
@@ -262,12 +287,32 @@ class Characterization:
     VerificationError on any mismatch.
     """
 
-    components_size_two: bool
-    crossed: bool
-    homogeneous: bool | None
-    graph: SimpleGraph | None = None
-    relabeling: PointMap | None = None
-    graph_vertex_transitive: bool | None = None
+    __slots__ = (
+        "components_size_two",
+        "crossed",
+        "homogeneous",
+        "graph",
+        "relabeling",
+        "graph_vertex_transitive",
+    )
+
+    def __init__(
+        self,
+        components_size_two: bool,
+        crossed: bool,
+        homogeneous: bool | None,
+        graph: SimpleGraph | None = None,
+        relabeling: PointMap | None = None,
+        graph_vertex_transitive: bool | None = None,
+    ):
+        self._set(
+            components_size_two,
+            crossed,
+            homogeneous,
+            graph,
+            relabeling,
+            graph_vertex_transitive,
+        )
 
     @property
     def matches(self) -> bool:
@@ -303,15 +348,20 @@ def characterize(
     )
 
 
-@dataclass(frozen=True)
-class GroupChain:
+class GroupChain(Record):
     """The four nested symmetry groups with their orders, inclusion-verified."""
 
-    displacement: PermGroup
-    even_inner: PermGroup
-    inner: PermGroup
-    aut: PermGroup
-    orders: tuple[int, int, int, int]
+    __slots__ = ("displacement", "even_inner", "inner", "aut", "orders")
+
+    def __init__(
+        self,
+        displacement: PermGroup,
+        even_inner: PermGroup,
+        inner: PermGroup,
+        aut: PermGroup,
+        orders: tuple[int, int, int, int],
+    ):
+        self._set(displacement, even_inner, inner, aut, orders)
 
 
 def group_chain(
@@ -348,17 +398,18 @@ def group_chain(
     return GroupChain(dis, even, inn, aut, tuple(orders))
 
 
-@dataclass(frozen=True)
-class CensusSurvivor:
-    quandle: FiniteQuandle
-    torus_orders: tuple[int, ...]
+class CensusSurvivor(Record):
+    __slots__ = ("quandle", "torus_orders")
+
+    def __init__(self, quandle: FiniteQuandle, torus_orders: tuple[int, ...]):
+        self._set(quandle, torus_orders)
 
 
-@dataclass(frozen=True)
-class OrderCensus:
-    order: int
-    class_count: int
-    survivors: tuple[CensusSurvivor, ...]
+class OrderCensus(Record):
+    __slots__ = ("order", "class_count", "survivors")
+
+    def __init__(self, order: int, class_count: int, survivors: tuple[CensusSurvivor, ...]):
+        self._set(order, class_count, survivors)
 
 
 def _odd_factorizations(n: int):

@@ -8,8 +8,8 @@ geometry honest without a single float.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
+from ._record import Record
 from .core import FiniteQuandle, direct_product
 from .errors import AxiomError, InputError
 from .graphs import SimpleGraph
@@ -54,28 +54,25 @@ def axis_quandle(n: int) -> FiniteQuandle:
     return FiniteQuandle(table, labels)
 
 
-@dataclass(frozen=True)
-class SignedSubset:
+class SignedSubset(Record):
     """An oriented coordinate k-plane: a strictly increasing index tuple
     from {1..n} together with an orientation sign."""
 
-    n: int
-    indices: tuple[int, ...]
-    sign: int
+    __slots__ = ("n", "indices", "sign")
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(self.indices))
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise InputError(f"ambient dimension must be positive, got {self.n!r}")
-        idx = self.indices
+    def __init__(self, n: int, indices, sign: int):
+        idx = tuple(indices)
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise InputError(f"ambient dimension must be positive, got {n!r}")
         if len(idx) < 1 or any(not isinstance(i, int) or isinstance(i, bool) for i in idx):
             raise InputError(f"indices must be a nonempty tuple of integers, got {idx!r}")
-        if any(i < 1 or i > self.n for i in idx) or any(
+        if any(i < 1 or i > n for i in idx) or any(
             idx[t] >= idx[t + 1] for t in range(len(idx) - 1)
         ):
-            raise InputError(f"indices must be strictly increasing in 1..{self.n}, got {idx!r}")
-        if self.sign not in (1, -1):
-            raise InputError(f"sign must be +1 or -1, got {self.sign!r}")
+            raise InputError(f"indices must be strictly increasing in 1..{n}, got {idx!r}")
+        if sign not in (1, -1):
+            raise InputError(f"sign must be +1 or -1, got {sign!r}")
+        self._set(n, idx, sign)
 
 
 def signed_subsets(k: int, n: int) -> list[SignedSubset]:
@@ -247,13 +244,14 @@ class CocycleTable:
         return f"CocycleTable(base_size={self.base_size}, modulus={self.modulus})"
 
 
-@dataclass(frozen=True)
-class CocycleCheck:
+class CocycleCheck(Record):
     """Verdict of a cocycle check; witness is ("diagonal", (x,)) or
     ("identity", (x, y, z)) for the first failing condition."""
 
-    ok: bool
-    witness: tuple | None = None
+    __slots__ = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: tuple | None = None):
+        self._set(ok, witness)
 
     def __bool__(self):
         return self.ok

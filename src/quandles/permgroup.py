@@ -10,9 +10,10 @@ No element is listed unless closure() is asked for.
 
 from __future__ import annotations
 
+import functools
 import operator
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import InputError, ResourceLimitError
 
 DEFAULT_ELEMENT_CAP = 10**6
@@ -27,17 +28,25 @@ def _inverse(a):
     return tuple(sorted(range(len(a)), key=a.__getitem__))
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    """A permutation of {0..n-1}, stored as its tuple of images."""
+@functools.total_ordering
+class Permutation(Record):
+    """A permutation of {0..n-1}, stored as its tuple of images.
 
-    images: tuple[int, ...]
+    Permutations order by their images.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise InputError(f"not a permutation of 0..{n - 1}: {self.images!r}")
+    __slots__ = ("images",)
+
+    def __init__(self, images):
+        images = tuple(images)
+        n = len(images)
+        if sorted(images) != list(range(n)):
+            raise InputError(f"not a permutation of 0..{n - 1}: {images!r}")
+        # Stored directly, not through _set: the group code builds many.
+        object.__setattr__(self, "images", images)
+
+    def __lt__(self, other):
+        return self.images < other.images if other.__class__ is self.__class__ else NotImplemented
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":

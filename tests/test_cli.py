@@ -137,6 +137,14 @@ def test_check_non_quandle_table(capsys, tmp_path):
     assert code == 2
 
 
+def test_check_rejects_labels_that_are_not_strings(capsys, tmp_path):
+    data = {"size": 2, "table": [[0, 1], [0, 1]], "labels": [{"a": 1}, 2]}
+    path = write_json(tmp_path, "q.json", data)
+    code, out, err = run(capsys, "check", path)
+    assert code == 2 and out == ""
+    assert err == 'error: "labels" must be a list of 2 strings\n'
+
+
 def test_check_unknown_property(capsys, tmp_path):
     path = write_json(tmp_path, "q.json", quandle_to_dict(dihedral(3)))
     code, _, err = run(capsys, "check", path, "--props", "shiny")
@@ -247,3 +255,18 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "order 1" in proc.stdout
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every request pays for what the CLI imports; these two cost more
+    # than the whole package.  Modules the interpreter loaded at start-up
+    # are not the package's doing.
+    code = (
+        "import sys; before = set(sys.modules); import quandles.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

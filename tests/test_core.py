@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import sys
@@ -34,6 +35,7 @@ from helpers import (
     geometric_dihedral_table,
     naive_quandle_classes,
     orbit_quandle_classes,
+    random_edge_set,
     relabeled_table,
 )
 
@@ -94,7 +96,9 @@ def oracle_report(rows):
 
 
 def mutations(rows, rng, count):
-    """count single-entry changes and count swaps of two entries in a row."""
+    """count single-entry changes and count swaps of two entries in a row,
+    then, if some row repeats, as many of each made in one copy of a
+    repeated row."""
     n = len(rows)
     out = []
     for _ in range(count):
@@ -106,7 +110,36 @@ def mutations(rows, rng, count):
         x, y1, y2 = rng.randrange(n), rng.randrange(n), rng.randrange(n)
         t[x][y1], t[x][y2] = t[x][y2], t[x][y1]
         out.append(t)
+    copies = collections.Counter(tuple(r) for r in rows)
+    repeated = [x for x, r in enumerate(rows) if copies[tuple(r)] > 1]
+    for _ in range(count if repeated else 0):
+        t = [list(r) for r in rows]
+        x, y = rng.choice(repeated), rng.randrange(n)
+        t[x][y] = rng.choice([v for v in range(n) if v != t[x][y]])
+        out.append(t)
+        t = [list(r) for r in rows]
+        x, y1, y2 = rng.choice(repeated), rng.randrange(n), rng.randrange(n)
+        t[x][y1], t[x][y2] = t[x][y2], t[x][y1]
+        out.append(t)
     return out
+
+
+def only_the_row_class_test_fails(rows):
+    """True when Q3 fails at its first failing x although the identity
+    s_x s_y = s_{s_x(y)} s_x holds at the first point y of every distinct
+    row: the Q3 check sees the failure only because s_x splits a class of
+    equal rows."""
+    violation = first_axiom_violation(rows, ("Q3",))
+    if violation is None:
+        return False
+    x = violation[1][0]
+    rx = rows[x]
+    firsts = {}
+    for y, r in enumerate(rows):
+        firsts.setdefault(tuple(r), y)
+    return all(
+        [rx[v] for v in rows[y]] == [rows[rx[y]][v] for v in rx] for y in firsts.values()
+    )
 
 
 SMALL_CLASSES = [q.table for n in range(1, 6) for q in enumerate_quandles(n)]
@@ -115,6 +148,7 @@ SMALL_CLASSES = [q.table for n in range(1, 6) for q in enumerate_quandles(n)]
 def test_axiom_reports_match_the_oracle_on_small_classes_and_mutations():
     rng = random.Random(53)
     failing = set()
+    class_only = 0
     for table in SMALL_CLASSES:
         assert verify_axioms(table) == oracle_report(table) == AxiomReport(True, True, True)
         n = len(table)
@@ -123,19 +157,48 @@ def test_axiom_reports_match_the_oracle_on_small_classes_and_mutations():
             report = verify_axioms(rows)
             assert report == oracle_report(rows), rows
             failing.add(report.first_violation and report.first_violation[0])
+            class_only += only_the_row_class_test_fails(rows)
     assert failing == {None, "Q1", "Q2", "Q3"}
+    assert class_only > 0
 
 
 def alexander_table(n, t):
     return [[(t * y + (1 - t) * x) % n for y in range(n)] for x in range(n)]
 
 
+def trivial_extension_table(n, m, seed):
+    """The extension of trivial(n) by a random cocycle mod m: the symmetry
+    at (x, a) sends (y, b) to (y, b + phi(x, y)), so it does not depend on a."""
+    rng = random.Random(seed)
+    phi = [[0 if x == y else rng.randrange(m) for y in range(n)] for x in range(n)]
+    return [
+        [y * m + (b + phi[x][y]) % m for y in range(n) for b in range(m)]
+        for x in range(n)
+        for _ in range(m)
+    ]
+
+
 # 255 and 256 points take the bytes row encoding (with and without
-# padding), 257 the tuple one.
-@pytest.mark.parametrize("n, t", [(255, 2), (256, 3), (257, 3)])
-def test_axiom_reports_match_the_oracle_at_the_encoding_boundary(n, t):
-    table = alexander_table(n, t)
+# padding), 257 and 258 the tuple one.  alexander(255, 2) and
+# alexander(257, 3) have no repeated row; every row of the others repeats.
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: alexander_table(255, 2), id="255-2"),
+        pytest.param(lambda: alexander_table(256, 3), id="256-3"),
+        pytest.param(lambda: alexander_table(257, 3), id="257-3"),
+        pytest.param(lambda: trivial_extension_table(85, 3, 85), id="extension-255"),
+        pytest.param(
+            lambda: from_graph(graphs.SimpleGraph(128, random_edge_set(random.Random(128), 128))).table,
+            id="graph-256",
+        ),
+        pytest.param(lambda: dihedral(258).table, id="dihedral-258"),
+    ],
+)
+def test_axiom_reports_match_the_oracle_at_the_encoding_boundary(build):
+    table = build()
     assert verify_axioms(table) == oracle_report(table) == AxiomReport(True, True, True)
+    n = len(table)
     rng = random.Random(n)
     for rows in mutations(table, rng, 3):
         report = verify_axioms(rows)
@@ -386,6 +449,8 @@ def test_json_shape_errors():
         {"size": "2", "table": [[0]]},
         {"size": 2, "table": [[0, 1]]},
         {"size": 1, "table": [[0]], "labels": ["a", "b"]},
+        {"size": 2, "table": [[0, 1], [0, 1]], "labels": [{"a": 1}, "b"]},
+        {"size": 2, "table": [[0, 1], [0, 1]], "labels": ["a", None]},
     ):
         with pytest.raises(InputError):
             quandle_from_dict(d)

@@ -1,0 +1,229 @@
+"""Value semantics of the package's record types.
+
+Each record is built positionally and by keyword with its defaults,
+compares and hashes by class and fields, prints as Name(field=value,
+...), refuses assignment, and validates its input with fixed messages.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from quandles import (
+    AxiomReport,
+    Characterization,
+    CocycleCheck,
+    GroupChain,
+    InputError,
+    OrderCensus,
+    Permutation,
+    PointMap,
+    PropertyReport,
+    SignedSubset,
+    dihedral,
+    group_chain,
+    trivial,
+)
+from quandles.analysis import CensusSurvivor
+
+CHAIN = group_chain(dihedral(3))
+GROUPS = (CHAIN.displacement, CHAIN.even_inner, CHAIN.inner, CHAIN.aut)
+T1 = trivial(1)
+PROPS = (True, None, False, True, False, True, False, ((0, 1), (2,)))
+
+# class, field names, two argument tuples differing in one field, repr of the first
+RECORDS = [
+    (
+        AxiomReport,
+        ("q1_ok", "q2_ok", "q3_ok", "first_violation"),
+        (True, False, True, ("Q2", (0, 0, 1))),
+        (True, False, True, ("Q2", (0, 0, 2))),
+        "AxiomReport(q1_ok=True, q2_ok=False, q3_ok=True, first_violation=('Q2', (0, 0, 1)))",
+    ),
+    (
+        PointMap,
+        ("domain_size", "codomain_size", "images"),
+        (2, 3, (2, 0)),
+        (2, 3, (2, 1)),
+        "PointMap(domain_size=2, codomain_size=3, images=(2, 0))",
+    ),
+    (
+        Permutation,
+        ("images",),
+        ((1, 2, 0),),
+        ((2, 0, 1),),
+        "Permutation(images=(1, 2, 0))",
+    ),
+    (
+        SignedSubset,
+        ("n", "indices", "sign"),
+        (4, (1, 3), -1),
+        (4, (1, 3), 1),
+        "SignedSubset(n=4, indices=(1, 3), sign=-1)",
+    ),
+    (
+        CocycleCheck,
+        ("ok", "witness"),
+        (False, ("diagonal", (0,))),
+        (False, ("diagonal", (1,))),
+        "CocycleCheck(ok=False, witness=('diagonal', (0,)))",
+    ),
+    (
+        PropertyReport,
+        (
+            "connected",
+            "homogeneous",
+            "flat",
+            "medial",
+            "crossed",
+            "involutive",
+            "abelian_inn",
+            "components",
+            "witnesses",
+        ),
+        PROPS + ({"crossed": (0, 2)},),
+        PROPS + ({"crossed": (1, 2)},),
+        "PropertyReport(connected=True, homogeneous=None, flat=False, medial=True, "
+        "crossed=False, involutive=True, abelian_inn=False, components=((0, 1), (2,)), "
+        "witnesses={'crossed': (0, 2)})",
+    ),
+    (
+        Characterization,
+        (
+            "components_size_two",
+            "crossed",
+            "homogeneous",
+            "graph",
+            "relabeling",
+            "graph_vertex_transitive",
+        ),
+        (False, True, None, None, None, None),
+        (False, True, False, None, None, None),
+        "Characterization(components_size_two=False, crossed=True, homogeneous=None, "
+        "graph=None, relabeling=None, graph_vertex_transitive=None)",
+    ),
+    (
+        GroupChain,
+        ("displacement", "even_inner", "inner", "aut", "orders"),
+        GROUPS + ((3, 3, 6, 6),),
+        GROUPS + ((3, 3, 6, 7),),
+        "GroupChain(displacement=PermGroup(degree=3, generators=3), "
+        "even_inner=PermGroup(degree=3, generators=3), "
+        "inner=PermGroup(degree=3, generators=3), "
+        "aut=PermGroup(degree=3, generators=2), orders=(3, 3, 6, 6))",
+    ),
+    (
+        CensusSurvivor,
+        ("quandle", "torus_orders"),
+        (T1, (1,)),
+        (T1, (3,)),
+        "CensusSurvivor(quandle=FiniteQuandle(size=1), torus_orders=(1,))",
+    ),
+    (
+        OrderCensus,
+        ("order", "class_count", "survivors"),
+        (1, 1, (CensusSurvivor(T1, (1,)),)),
+        (1, 2, (CensusSurvivor(T1, (1,)),)),
+        "OrderCensus(order=1, class_count=1, "
+        "survivors=(CensusSurvivor(quandle=FiniteQuandle(size=1), torus_orders=(1,)),))",
+    ),
+]
+IDS = [r[0].__name__ for r in RECORDS]
+
+
+@pytest.mark.parametrize("cls, fields, args, other, text", RECORDS, ids=IDS)
+def test_positional_and_keyword_construction_agree(cls, fields, args, other, text):
+    a = cls(*args)
+    b = cls(**dict(zip(fields, args)))
+    assert a == b
+    assert tuple(getattr(a, f) for f in fields) == args
+
+
+@pytest.mark.parametrize("cls, fields, args, other, text", RECORDS, ids=IDS)
+def test_equality_and_hash_go_by_class_and_fields(cls, fields, args, other, text):
+    a, b, c = cls(*args), cls(*args), cls(*other)
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert a != args
+    if cls is PropertyReport:  # a dict field makes it unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(args)
+
+
+def test_records_with_equal_fields_differ_across_classes():
+    assert CocycleCheck(True, None) != AxiomReport(True, None, None)
+    assert CocycleCheck(True) != CensusSurvivor(True, None)
+    assert Permutation((0, 1)) != PointMap(2, 2, (0, 1))
+
+
+@pytest.mark.parametrize("cls, fields, args, other, text", RECORDS, ids=IDS)
+def test_repr_names_every_field(cls, fields, args, other, text):
+    assert repr(cls(*args)) == text
+
+
+@pytest.mark.parametrize("cls, fields, args, other, text", RECORDS, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(cls, fields, args, other, text):
+    a = cls(*args)
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, f, getattr(a, f))
+        with pytest.raises(AttributeError):
+            delattr(a, f)
+    assert cls(*args) == a
+
+
+@pytest.mark.parametrize("cls, fields, args, other, text", RECORDS, ids=IDS)
+def test_copies_and_pickles_keep_class_and_fields(cls, fields, args, other, text):
+    a = cls(*args)
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(b) is cls
+        assert repr(b) == text
+
+
+def test_defaults():
+    assert AxiomReport(True, True, True).first_violation is None
+    assert CocycleCheck(True).witness is None
+    c = Characterization(True, True, None)
+    assert c.graph is None and c.relabeling is None and c.graph_vertex_transitive is None
+    a, b = PropertyReport(*PROPS), PropertyReport(*PROPS)
+    assert a.witnesses == {} and a.witnesses is not b.witnesses
+
+
+def test_sequences_are_stored_as_tuples():
+    assert Permutation([1, 0]).images == (1, 0)
+    assert PointMap(2, 2, [1, 0]).images == (1, 0)
+    assert SignedSubset(3, [1, 2], 1).indices == (1, 2)
+
+
+def test_permutations_sort_by_images():
+    perms = [Permutation(p) for p in [(1, 0, 2), (0, 2, 1), (2, 1, 0), (0, 1, 2)]]
+    assert [p.images for p in sorted(perms)] == [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)]
+    a, b = Permutation((0, 1)), Permutation((1, 0))
+    assert a < b and a <= b and b > a and b >= a and a <= a and a >= a
+    with pytest.raises(TypeError):
+        a < (1, 0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Permutation([0, 0]), "not a permutation of 0..1: (0, 0)"),
+        (lambda: Permutation((1, 2)), "not a permutation of 0..1: (1, 2)"),
+        (lambda: PointMap(2, 2, [0]), "1 images for domain of size 2"),
+        (lambda: PointMap(2, 2, [0, 2]), "image of 1 is 2, out of range"),
+        (lambda: PointMap(1, 1, [True]), "image of 0 is True, out of range"),
+        (lambda: SignedSubset(0, (1,), 1), "ambient dimension must be positive, got 0"),
+        (lambda: SignedSubset(3, (), 1), "indices must be a nonempty tuple of integers, got ()"),
+        (lambda: SignedSubset(3, (1, "2"), 1), "indices must be a nonempty tuple of integers, got (1, '2')"),
+        (lambda: SignedSubset(3, (2, 1), 1), "indices must be strictly increasing in 1..3, got (2, 1)"),
+        (lambda: SignedSubset(3, (1, 4), 1), "indices must be strictly increasing in 1..3, got (1, 4)"),
+        (lambda: SignedSubset(3, (1,), 0), "sign must be +1 or -1, got 0"),
+    ],
+)
+def test_validation_messages(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value) == message
