@@ -12,7 +12,8 @@ from .core import (
     ENUMERATION_CAP,
     FiniteQuandle,
     PointMap,
-    enumerate_quandles,
+    _first_tables,
+    canonical_table,
     find_isomorphism,
 )
 from .errors import (
@@ -449,6 +450,10 @@ def flat_connected_census(
     Every survivor must have odd order and be isomorphic to a direct
     product of odd dihedral quandles; a survivor without such a match
     raises VerificationError, so a clean return is itself the check.
+    The tests run on the first table of each class that the enumeration
+    visits; only the survivors are brought to their canonical tables,
+    and they are listed in the order of those tables, as
+    enumerate_quandles would list them.
     """
     if (
         not isinstance(max_order, int)
@@ -460,9 +465,10 @@ def flat_connected_census(
         )
     out = []
     for n in range(1, max_order + 1):
-        classes = enumerate_quandles(n)
+        classes = _first_tables(n)
         survivors = []
-        for q in classes:
+        for rows in classes:
+            q = FiniteQuandle(rows)
             if not inner_group(q).is_transitive():
                 continue
             if not even_inner_group(q).is_abelian():
@@ -476,6 +482,7 @@ def flat_connected_census(
                 raise VerificationError(
                     f"flat connected quandle of order {n} matches no odd torus"
                 )
-            survivors.append(CensusSurvivor(q, orders))
+            survivors.append(CensusSurvivor(FiniteQuandle(canonical_table(q)), orders))
+        survivors.sort(key=lambda s: s.quandle.table)
         out.append(OrderCensus(n, len(classes), tuple(survivors)))
     return out

@@ -14,16 +14,16 @@ with rows and columns swapped; only this one is used here.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import operator
 
 from ._record import Record
 from .errors import AxiomError, InputError
-from .permgroup import Permutation, _cycle_type, _row_kernel
+from .permgroup import Permutation, _cycle_type, _inverse, _row_kernel
 from .search import isomorphisms, quandle_structure
 
 DEFAULT_NODE_BUDGET = 10**7
-ENUMERATION_CAP = 6
+ENUMERATION_CAP = 7
 
 
 class AxiomReport(Record):
@@ -58,6 +58,8 @@ def _as_rows(table) -> tuple[tuple[int, ...], ...]:
     for x, row in enumerate(rows):
         if len(row) != n:
             raise InputError(f"table is not square: row {x} has length {len(row)}")
+        if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
+            continue
         for y, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
                 raise InputError(f"entry table[{x}][{y}] = {v!r} is out of range")
@@ -98,6 +100,8 @@ def _check_axioms(rows) -> AxiomReport:
 
     q2_witness = None
     for x in range(n):
+        if len(set(rows[x])) == n:
+            continue
         seen = {}
         for y, v in enumerate(rows[x]):
             if v in seen:
@@ -312,75 +316,134 @@ def direct_product(q1: FiniteQuandle, q2: FiniteQuandle) -> FiniteQuandle:
     return FiniteQuandle(table, labels)
 
 
+def _cycles_by_length(perm, fixed) -> list[tuple[int, ...]]:
+    """The cycles of perm other than the fixed point `fixed`, shortest
+    first, each read from its smallest point; equal lengths keep the
+    order of their smallest points."""
+    seen = {fixed}
+    cycles = []
+    for x in range(len(perm)):
+        if x in seen:
+            continue
+        cycle = [x]
+        seen.add(x)
+        y = perm[x]
+        while y != x:
+            cycle.append(y)
+            seen.add(y)
+            y = perm[y]
+        cycles.append(tuple(cycle))
+    cycles.sort(key=len)
+    return cycles
+
+
+@functools.lru_cache(maxsize=32)
+def _listings(p) -> tuple[tuple[bytes, bytes], ...]:
+    """Every way to list the points of p, a permutation fixing 0: first 0,
+    then the other cycles grouped by increasing length, each group in any
+    order and each cycle in any rotation.  Each listing L comes as the
+    pair (position, L + padding): position[v] is the index of v in L, and
+    the padded L is a translate table.  Cached: every p that the
+    enumeration passes in is the least permutation of its cycle type, so
+    one order n asks for at most one per partition of n - 1."""
+    pad = bytes(range(len(p), 256))
+    per_length = [
+        [
+            tuple(itertools.chain.from_iterable(c[r:] + c[:r] for c, r in zip(order, shifts)))
+            for order in itertools.permutations(group)
+            for shifts in itertools.product(range(len(group[0])), repeat=len(group))
+        ]
+        for group in (list(g) for _, g in itertools.groupby(_cycles_by_length(p, 0), len))
+    ]
+    listings = [
+        (0,) + tuple(itertools.chain.from_iterable(parts))
+        for parts in itertools.product(*per_length)
+    ]
+    return tuple((bytes(_inverse(listing)), bytes(listing) + pad) for listing in listings)
+
+
+def _orbit_slice(rows, p) -> list[bytes]:
+    """Every relabeling of the table whose row 0 is p, as flat bytes.
+
+    rows are permutations fixing their own point, at most 256 of them,
+    and p fixes 0.  A relabeling sigma carries row x to sigma s_x
+    sigma^-1 at sigma(x), so its row 0 is p exactly when, for the point x
+    it sends to 0, it conjugates s_x to p.  These sigma are built with no
+    search: for each x whose row has p's cycle type, list x and then the
+    other cycles of s_x grouped by length (the source listing S); sigma
+    sends S[i] to L[i] for each listing L of p (_listings).  That is
+    |X| * |C_Stab(0)(p)| relabelings, each one gather per row and one
+    translate.  A table repeats when sigma is an automorphism.
+
+    With R[i][j] the index in S of s_S[i](S[j]) (`reindexed`), the
+    relabeled table has L[R[i][j]] at (L[i], L[j]), so R is built once
+    per x and each listing only gathers and translates it.
+    """
+    n = len(rows)
+    pad = bytes(range(n, 256))
+    shape = [len(c) for c in _cycles_by_length(p, 0)]
+    rowpads = [bytes(r) + pad for r in rows]
+    out = []
+    for x, row in enumerate(rows):
+        cycles = _cycles_by_length(row, x)
+        if [len(c) for c in cycles] != shape:
+            continue
+        source = bytes(itertools.chain((x,), *cycles))
+        position = bytes(_inverse(source)) + pad
+        reindexed = [source.translate(rowpads[v]).translate(position) + pad for v in source]
+        out += [
+            b"".join(map(where.translate, map(reindexed.__getitem__, where))).translate(listing)
+            for where, listing in _listings(p)
+        ]
+    return out
+
+
+def _least_of_type(lengths) -> tuple[int, ...]:
+    """The lexicographically least permutation with these sorted cycle
+    lengths (at least one 1): the fixed points first, then each cycle on
+    consecutive points, shortest first.  It fixes 0."""
+    images = []
+    for k in lengths:
+        start = len(images)
+        images += range(start + 1, start + k)
+        images.append(start)
+    return tuple(images)
+
+
+def _canonical_flat(rows) -> bytes:
+    """The least relabeling of the table as flat bytes (see canonical_table)."""
+    row0 = min(_least_of_type(t) for t in {_cycle_type(r) for r in rows})
+    return min(_orbit_slice(rows, row0))
+
+
+def _unflatten(t: bytes, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(t[i : i + n]) for i in range(0, n * n, n))
+
+
 def canonical_table(q) -> tuple[tuple[int, ...], ...]:
     """Lexicographically smallest table over all relabelings of the points.
 
-    Compares each relabeling lazily against the best so far and abandons
-    it at the first losing entry.
+    Row 0 of a relabeling is a conjugate of some row s_x by a sigma that
+    sends x to 0, so it can be any permutation fixing 0 with the cycle
+    type of some row, and nothing else.  The smallest table therefore has
+    row 0 = p*, the least permutation fixing 0 among the row types
+    present, and it is the least of the relabelings with that row 0 (see
+    _orbit_slice).  This needs rows that are permutations fixing their
+    own point (Q1 and Q2, not Q3); anything else raises InputError.
     """
     rows = _as_rows(q)
     n = len(rows)
-    best = None
-    for sigma in itertools.permutations(range(n)):
-        inv = [0] * n
-        for x, y in enumerate(sigma):
-            inv[y] = x
-        if best is None:
-            best = tuple(
-                sigma[rows[inv[i]][inv[j]]] for i in range(n) for j in range(n)
-            )
-            continue
-        verdict = 0
-        idx = 0
-        for i in range(n):
-            ti = rows[inv[i]]
-            for j in range(n):
-                v = sigma[ti[inv[j]]]
-                b = best[idx]
-                if v != b:
-                    verdict = 1 if v > b else -1
-                    break
-                idx += 1
-            if verdict:
-                break
-        if verdict < 0:
-            best = tuple(
-                sigma[rows[inv[i]][inv[j]]] for i in range(n) for j in range(n)
-            )
-    return tuple(tuple(best[i * n : (i + 1) * n]) for i in range(n))
+    if n > 256:
+        raise InputError(f"canonical_table takes at most 256 points, got {n}")
+    for x, row in enumerate(rows):
+        if row[x] != x or len(set(row)) != n:
+            raise InputError(f"row {x} is not a permutation fixing {x}")
+    return _unflatten(_canonical_flat(rows), n)
 
 
-def enumerate_quandles(n: int) -> list[FiniteQuandle]:
-    """All quandles on n points, one representative per isomorphism class.
-
-    Rows are chosen by backtracking over diagonal-fixing permutations.
-    Placing rows x and y forces the row at table[x][y] to be the
-    conjugate row_x o row_y o row_x^-1, which prunes most of the tree
-    and enforces Q3 exactly.
-
-    Relabelings are broken at row 0.  Order cycle types by the key
-    (-c for c in sorted lengths), which puts the identity's type last.
-    Every class has a point whose row has the smallest type among its
-    rows; relabel that point to 0.  Two permutations that fix 0 and have
-    the same cycle type are conjugate by one that fixes 0, so a further
-    relabeling fixing 0 makes row 0 the first permutation of that type
-    fixing 0, while every row keeps its type.  Hence the search makes
-    one pass per type T of a permutation fixing 0: row 0 is that
-    representative and every chosen row has type T or later.  Forced
-    rows are conjugates of placed rows and share their types, so they
-    need no check.  Each class is reached in the pass of its smallest
-    row type and in no other.  The order is for speed: the first pass
-    admits rows of every type, and its row 0, with the fewest fixed
-    points, forces the most conjugates; the identity forces nothing, and
-    as the last type its pass admits only identity rows, the trivial
-    quandle alone.  (Identity first: 2574 tables visited at order 6
-    instead of 183.)
-
-    Each new table is expanded to its full relabeling orbit as flat
-    bytes, so later hits are skipped in O(1); the representative is the
-    smallest table of the orbit (flat rows of equal length sort as the
-    rows do).  Output is sorted.
-    """
+def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """One table per isomorphism class of quandles on n points: the first
+    one the search of enumerate_quandles visits."""
     if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= ENUMERATION_CAP:
         raise InputError(f"enumeration is capped at order {ENUMERATION_CAP}, got {n!r}")
 
@@ -395,18 +458,6 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
     type_key = {p: tuple(-c for c in _cycle_type(p)) for p in all_perms}
     row_choices = [[p for p in all_perms if p[x] == x] for x in points]
 
-    # The relabeled flat table is t[sigma^-1 i * n + sigma^-1 j] mapped
-    # through sigma: one gather and one translate.  The identity comes
-    # first in all_perms and is left out.
-    pad = bytes(range(n, 256))
-    relabelings = [
-        (
-            operator.itemgetter(*[inv_of[s][i] * n + inv_of[s][j] for i in points for j in points]),
-            bytes(s) + pad,
-        )
-        for s in all_perms[1:]
-    ]
-
     conj_cache = {}
 
     def conj(a, b):
@@ -420,7 +471,7 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
 
     rows: list = [None] * n
     seen = set()
-    reps = []
+    found = []
 
     def place(z, perm, trail):
         cur = rows[z]
@@ -450,10 +501,8 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
         t = bytes(itertools.chain.from_iterable(rows))
         if t in seen:
             return
-        orbit = {t}
-        orbit.update([bytes(gather(t)).translate(sigma) for gather, sigma in relabelings])
-        seen.update(orbit)
-        reps.append(min(orbit))
+        seen.update(_orbit_slice(rows, rows[0]))
+        found.append(tuple(rows))
 
     def backtrack(k, choices):
         while k < n and rows[k] is not None:
@@ -475,10 +524,46 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
         ]
         seen.clear()  # a class is reached in one pass only
         backtrack(0, choices)
-    reps.sort()
+    return found
+
+
+def enumerate_quandles(n: int) -> list[FiniteQuandle]:
+    """All quandles on n points, one representative per isomorphism class.
+
+    Rows are chosen by backtracking over diagonal-fixing permutations.
+    Placing rows x and y forces the row at table[x][y] to be the
+    conjugate row_x o row_y o row_x^-1, which prunes most of the tree
+    and enforces Q3 exactly.
+
+    Relabelings are broken at row 0.  Order cycle types by the key
+    (-c for c in sorted lengths), which puts the identity's type last.
+    Every class has a point whose row has the smallest type among its
+    rows; relabel that point to 0.  Two permutations that fix 0 and have
+    the same cycle type are conjugate by one that fixes 0, so a further
+    relabeling fixing 0 makes row 0 the first permutation of that type
+    fixing 0, while every row keeps its type.  Hence the search makes
+    one pass per type T of a permutation fixing 0: row 0 is that
+    representative and every chosen row has type T or later.  Forced
+    rows are conjugates of placed rows and share their types, so they
+    need no check.  Each class is reached in the pass of its smallest
+    row type and in no other.  The order is for speed: the first pass
+    admits rows of every type, and its row 0, with the fewest fixed
+    points, forces the most conjugates; the identity forces nothing, and
+    as the last type its pass admits only identity rows, the trivial
+    quandle alone.  (Identity first: 2574 tables visited at order 6
+    instead of 183.)
+
+    Every table a pass visits has the same row 0, so two of them are in
+    one class exactly when one is a relabeling of the other with that
+    row 0.  A new table therefore adds only that slice of its orbit to
+    the pass's seen set (_orbit_slice: 2427 relabelings at order 6, not
+    the 73 * 719 of the full orbits).  The representative is the
+    canonical table of each class, computed on the same kind of slice
+    (see canonical_table).  Output is sorted.
+    """
     return [
-        FiniteQuandle(tuple(tuple(t[i : i + n]) for i in range(0, n * n, n)))
-        for t in reps
+        FiniteQuandle(_unflatten(t, n))
+        for t in sorted(_canonical_flat(rows) for rows in _first_tables(n))
     ]
 
 

@@ -208,6 +208,37 @@ def relabeled_table(table, sigma):
     return [[sigma[table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)]
 
 
+def relabeling_orbit(table):
+    """Every relabeling of the table, one per bijection of the points, as
+    a set of row tuples; its least member is the canonical table."""
+    n = len(table)
+    return {
+        tuple(map(tuple, relabeled_table(table, sigma)))
+        for sigma in itertools.permutations(range(n))
+    }
+
+
+def cocycle_witness(table, values, m):
+    """The first failing condition of a candidate 2-cocycle, in the order
+    the definition lists them, by the plain triple loop; None if none."""
+    n = len(table)
+    for x in range(n):
+        if values[x][x] % m:
+            return ("diagonal", (x,))
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                total = (
+                    values[x][y]
+                    - values[x][z]
+                    + values[table[y][x]][z]
+                    - values[table[z][x]][table[z][y]]
+                )
+                if total % m:
+                    return ("identity", (x, y, z))
+    return None
+
+
 def labelled_products(table, inverse=False):
     """Every product s_x o s_y (s_x o s_y^-1 if inverse) as an image tuple,
     labelled by the first (x, y) in row-major order that produces it."""

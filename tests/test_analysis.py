@@ -17,9 +17,11 @@ from quandles import (
     VerificationError,
     aknn,
     automorphism_group,
+    canonical_table,
     characterize,
     connected_components,
     dihedral,
+    discrete_torus,
     displacement_group,
     enumerate_quandles,
     even_inner_group,
@@ -34,6 +36,7 @@ from quandles import (
     to_graph,
     trivial,
 )
+from quandles.core import _first_tables
 from quandles.graphs import find_graph_isomorphism
 
 from helpers import (
@@ -597,10 +600,40 @@ def test_census_to_order_four():
     assert find_isomorphism(d3, dihedral(3)) is not None
 
 
+def test_census_survivors_match_the_enumeration():
+    # The census tests the first table of each class it visits; the same
+    # tests on the canonical representatives must keep the same classes.
+    for row in flat_connected_census(6):
+        classes = enumerate_quandles(row.order)
+        assert row.class_count == len(classes)
+        assert [s.quandle.table for s in row.survivors] == [
+            q.table
+            for q in classes
+            if inner_group(q).is_transitive() and even_inner_group(q).is_abelian()
+        ]
+        for s in row.survivors:
+            assert find_isomorphism(s.quandle, discrete_torus(s.torus_orders)) is not None
+
+
+def test_census_at_order_seven():
+    rows = flat_connected_census(7)
+    # OEIS A181769
+    assert [r.class_count for r in rows] == [1, 1, 3, 7, 22, 73, 298]
+    (survivor,) = rows[6].survivors
+    assert survivor.torus_orders == (7,)
+    assert survivor.quandle.table == canonical_table(dihedral(7))
+    # connected classes, OEIS A181771 (Vendramin, JKTR 2012)
+    connected = [
+        sum(inner_group(FiniteQuandle(t)).is_transitive() for t in _first_tables(n))
+        for n in range(1, 8)
+    ]
+    assert connected == [1, 0, 1, 1, 3, 2, 5]
+
+
 def test_census_rejects_bad_bounds():
     from quandles import InputError
 
-    for bad in (0, 7):
+    for bad in (0, 8):
         with pytest.raises(InputError):
             flat_connected_census(bad)
 

@@ -226,7 +226,10 @@ def test_census_json_and_bounds(capsys):
     rows = json.loads(out)
     assert rows[2]["classes"] == 3
     assert rows[2]["flat_connected"] == [{"torus": [3]}]
-    code, _, _ = run(capsys, "census", "--max-order", "7")
+    code, out, _ = run(capsys, "census", "--max-order", "7")
+    assert code == 0
+    assert out.splitlines()[-1] == "order 7: 298 classes, 1 flat+connected (dihedral(7))"
+    code, _, _ = run(capsys, "census", "--max-order", "8")
     assert code == 2
 
 

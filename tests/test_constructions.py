@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -27,8 +28,9 @@ from quandles import (
     verify_axioms,
 )
 from quandles import even_inner_group, graphs
+from quandles.constructions import _first_failing_point
 
-from helpers import geometric_dihedral_table, random_edge_set
+from helpers import cocycle_witness, geometric_dihedral_table, random_edge_set
 
 
 # ------------------------------------------------------------ trivial/dihedral
@@ -214,6 +216,54 @@ def test_cocycle_identity_violation_carries_its_triple():
     vals = phi.values
     total = vals[x][y] - vals[x][z] + vals[t[y][x]][z] - vals[t[z][x]][t[z][y]]
     assert total % 2 != 0
+
+
+def test_cocycle_witnesses_match_the_triple_loop():
+    rng = random.Random(71)
+    # Every zero-diagonal table mod 2 and mod 3 over dihedral(3): cocycles
+    # and not.
+    t3 = dihedral(3).table
+    cells = [(x, y) for x in range(3) for y in range(3) if x != y]
+    for m in (2, 3):
+        for entries in itertools.product(range(m), repeat=len(cells)):
+            values = [[0] * 3 for _ in range(3)]
+            for (x, y), v in zip(cells, entries):
+                values[x][y] = v
+            phi = CocycleTable(m, values)
+            expected = cocycle_witness(t3, phi.values, m)
+            assert is_cocycle(dihedral(3), phi).witness == expected
+            assert _first_failing_point(t3, phi.values, m) == (expected and expected[1][0])
+    # Random tables (cocycles over a trivial base), the coboundary
+    # f(x) - f(s_y(x)) of a random f (a cocycle over any base, by Q3), and
+    # one-entry mutations of each, on both sides of m = 64, where the
+    # check leaves its byte-lane path.
+    bases = [trivial(1), trivial(5), dihedral(4), dihedral(5), from_graph(graphs.cycle(4)), aknn(2, 4)]
+    for q in bases:
+        n = q.size
+        t = q.table
+        for m in (2, 3, 64, 65):
+            tables = [
+                [
+                    [rng.randrange(m) if x != y and rng.random() < density else 0 for y in range(n)]
+                    for x in range(n)
+                ]
+                for density in (0.0, 0.2, 1.0)
+            ]
+            f = [rng.randrange(m) for _ in range(n)]
+            tables.append([[(f[x] - f[t[y][x]]) % m for y in range(n)] for x in range(n)])
+            assert cocycle_witness(t, tables[-1], m) is None
+            for values in tables:
+                mutated = [row[:] for row in values]
+                x, y = rng.randrange(n), rng.randrange(n)
+                mutated[x][y] = (mutated[x][y] + rng.randrange(1, m)) % m
+                for vals in (values, mutated):
+                    phi = CocycleTable(m, vals)
+                    expected = cocycle_witness(q.table, phi.values, m)
+                    check = is_cocycle(q, phi)
+                    assert (check.ok, check.witness) == (expected is None, expected)
+                    if m <= 64 and (expected is None or expected[0] == "identity"):
+                        first = expected and expected[1][0]
+                        assert _first_failing_point(t, phi.values, m) == first
 
 
 def test_cocycle_size_mismatch():

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 import sys
 
@@ -29,14 +30,17 @@ from quandles import (
     verify_axioms,
 )
 from quandles import axis_quandle, graphs
+from quandles.core import _least_of_type, _orbit_slice
 
 from helpers import (
+    cycle_type,
     first_axiom_violation,
     geometric_dihedral_table,
     naive_quandle_classes,
     orbit_quandle_classes,
     random_edge_set,
     relabeled_table,
+    relabeling_orbit,
 )
 
 
@@ -88,6 +92,49 @@ def test_malformed_tables_raise_not_report():
     assert q.size == 2
     with pytest.raises(InputError):
         FiniteQuandle([[0, 2], [1, 0]], unchecked=True)
+
+
+class Label(int):
+    """An int subclass, as a caller's own point type might be."""
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([[0, 1], [0, 1, 2]], "table is not square: row 1 has length 3"),
+        ([[0, 5], [0]], r"entry table\[0\]\[1\] = 5 is out of range"),
+        ([[0, 1], [0, -1]], r"entry table\[1\]\[1\] = -1 is out of range"),
+        ([[0, 1], [True, 1]], r"entry table\[1\]\[0\] = True is out of range"),
+        ([[0, 1.0], [0, 1]], r"entry table\[0\]\[1\] = 1.0 is out of range"),
+        ([[0, "1"], [0, 1]], r"entry table\[0\]\[1\] = '1' is out of range"),
+        ([[0, 1, 2], [0, 1, 2], [0, 1, 2, 3]], "table is not square: row 2 has length 4"),
+        ([[0, 1, 2], [0, 1, 3], [0, 1]], r"entry table\[1\]\[2\] = 3 is out of range"),
+    ],
+)
+def test_malformed_table_messages(table, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        verify_axioms(table)
+
+
+def test_int_subclass_entries_are_accepted():
+    table = [[Label(v) for v in row] for row in dihedral(5).table]
+    assert verify_axioms(table).ok
+    assert FiniteQuandle(table).table == dihedral(5).table
+
+
+@pytest.mark.parametrize(
+    "table, witness",
+    [
+        ([[0, 0, 2], [0, 1, 2], [0, 1, 2]], ("Q2", (0, 0, 1))),
+        ([[0, 1, 2], [0, 1, 2], [2, 1, 2]], ("Q2", (2, 0, 2))),
+        ([[0, 2, 2], [0, 1, 1], [0, 1, 2]], ("Q2", (0, 1, 2))),
+        ([[0, 1, 1, 0], [0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]], ("Q2", (0, 1, 2))),
+    ],
+)
+def test_q2_witness_is_the_first_repeat(table, witness):
+    report = verify_axioms(table)
+    assert report == oracle_report(table)
+    assert report.first_violation == witness
 
 
 def oracle_report(rows):
@@ -411,9 +458,97 @@ def test_enumeration_reps_pairwise_nonisomorphic():
 
 
 def test_enumeration_rejects_out_of_range():
-    for bad in (0, 7, -1, "3"):
+    for bad in (0, 8, -1, "3"):
         with pytest.raises(InputError):
             enumerate_quandles(bad)
+
+
+def _unflatten(t, n):
+    return tuple(tuple(t[i : i + n]) for i in range(0, n * n, n))
+
+
+def test_canonical_table_is_the_least_relabeling():
+    # Every class up to order 5, a seeded sample at order 6 and trivial(6),
+    # whose row-0 slice is the whole orbit, each under a random relabeling.
+    rng = random.Random(61)
+    order6 = [q.table for q in enumerate_quandles(6)]
+    for table in SMALL_CLASSES + rng.sample(order6, 12) + [trivial(6).table]:
+        n = len(table)
+        relabeled = relabeled_table(table, rng.sample(range(n), n))
+        assert canonical_table(relabeled) == min(relabeling_orbit(relabeled))
+
+
+def random_row_of_type(rng, n, x, lengths):
+    """A random permutation of 0..n-1 fixing x, with x's fixed point and
+    then cycles of the given lengths on the other points."""
+    others = rng.sample([v for v in range(n) if v != x], n - 1)
+    row = list(range(n))
+    for k in lengths:
+        cycle, others = others[:k], others[k:]
+        for i, v in enumerate(cycle):
+            row[v] = cycle[(i + 1) % k]
+    return row
+
+
+def test_canonical_table_needs_q1_and_q2_only():
+    # Q3 need not hold on these, but the rows are permutations fixing
+    # their own point.  Rows all of type 1+2+3 make the least row 0 mix two cycle
+    # lengths, which no quandle up to order 7 needs.
+    rng = random.Random(73)
+    tables = [[[0, 2, 1], [2, 1, 0], [0, 1, 2]]]
+    tables += [[random_row_of_type(rng, 6, x, (2, 3)) for x in range(6)] for _ in range(3)]
+    tables += [
+        [random_row_of_type(rng, 6, x, rng.choice([(2, 3), (5,), (2, 2), (1, 4)])) for x in range(6)]
+        for _ in range(3)
+    ]
+    for table in tables:
+        assert verify_axioms(table).q2_ok
+        assert canonical_table(table) == min(relabeling_orbit(table))
+    for bad in ([[1, 0], [0, 1]], [[0, 0], [0, 1]]):
+        with pytest.raises(InputError, match="is not a permutation fixing"):
+            canonical_table(bad)
+
+
+def test_least_permutation_of_each_cycle_type():
+    for n in range(1, 8):
+        least = {}
+        for p in itertools.permutations(range(n)):
+            least.setdefault(cycle_type(p), p)
+        for lengths, p in least.items():
+            if 1 in lengths:
+                assert _least_of_type(lengths) == p
+
+
+def _centralizer_in_stabilizer(p):
+    """|C(p) n Stab(0)|: the product of m! k^m over the m cycles of each
+    length k, with 0 taken out of the fixed points."""
+    lengths = collections.Counter(cycle_type(p))
+    lengths[1] -= 1
+    size = 1
+    for k, m in lengths.items():
+        size *= math.factorial(m) * k**m
+    return size
+
+
+def test_orbit_slice_is_the_part_of_the_orbit_with_that_row_0():
+    rng = random.Random(67)
+    for table in SMALL_CLASSES:
+        n = len(table)
+        rows = tuple(map(tuple, relabeled_table(table, rng.sample(range(n), n))))
+        orbit = relabeling_orbit(rows)
+        for p in itertools.permutations(range(n)):
+            if p[0] != 0:
+                continue
+            got = _orbit_slice(rows, p)
+            assert {_unflatten(t, n) for t in got} == {u for u in orbit if u[0] == p}
+            same_type = sum(cycle_type(r) == cycle_type(p) for r in rows)
+            assert len(got) == same_type * _centralizer_in_stabilizer(p)
+
+
+def test_one_point():
+    assert _orbit_slice(((0,),), (0,)) == [b"\x00"]
+    assert canonical_table([[0]]) == ((0,),)
+    assert [q.table for q in enumerate_quandles(1)] == [((0,),)]
 
 
 def test_known_members_appear_at_their_order():
