@@ -24,7 +24,7 @@ from .errors import (
     VerificationError,
 )
 from .graphs import SimpleGraph, is_vertex_transitive
-from .permgroup import PermGroup, Permutation, _inverse, _noncommuting_pair, _row_kernel
+from .permgroup import PermGroup, Permutation, _compose, _inverse, _noncommuting_pair, _row_kernel
 from .search import automorphism_generators, quandle_structure
 
 DEFAULT_AUT_POINT_CAP = 16
@@ -38,7 +38,7 @@ def inner_group(q: FiniteQuandle) -> PermGroup:
 def _displacement_generators(q: FiniteQuandle) -> list[tuple[int, ...]]:
     """s_x o s_0^{-1} for every point x, duplicates removed, in order of x."""
     inv0 = _inverse(q.table[0])
-    return list(dict.fromkeys(tuple(rx[i] for i in inv0) for rx in q.table))
+    return list(dict.fromkeys(_compose(rx, inv0) for rx in q.table))
 
 
 def even_inner_group(q: FiniteQuandle) -> PermGroup:
@@ -49,8 +49,7 @@ def even_inner_group(q: FiniteQuandle) -> PermGroup:
     third axiom); conversely s_x s_y^{-1} = (s_x s_y)(s_y^2)^{-1}.
     """
     r0 = q.table[0]
-    square = tuple(r0[y] for y in r0)
-    return PermGroup(q.size, _displacement_generators(q) + [square])
+    return PermGroup(q.size, _displacement_generators(q) + [_compose(r0, r0)])
 
 
 def displacement_group(q: FiniteQuandle) -> PermGroup:

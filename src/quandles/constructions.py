@@ -12,7 +12,7 @@ import itertools
 from ._record import Record
 from .core import FiniteQuandle, direct_product
 from .errors import AxiomError, InputError
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _adjacency_masks
 
 
 def trivial(n: int) -> FiniteQuandle:
@@ -92,25 +92,18 @@ def aknn(k: int, n: int) -> FiniteQuandle:
 
     The symmetry at I keeps J's plane and flips its orientation exactly
     when the difference J \\ I has odd size; the sign of I is irrelevant.
-    Element order (k-subsets lexicographic, + before -) is part of the
-    public contract.
+    So this is the graph quandle of graphs.parity_difference(n, k), with
+    its own labels.  Element order (k-subsets lexicographic, + before -)
+    is part of the public contract.
     """
     elements = signed_subsets(k, n)
     subsets = [set(e.indices) for e in elements[::2]]
-    m = len(subsets)
-    table = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            flip = len(subsets[j] - subsets[i]) % 2 == 1
-            row += [2 * j + 1, 2 * j] if flip else [2 * j, 2 * j + 1]
-        table.append(row)
-        table.append(row)
+    masks = [sum(1 << j for j, t in enumerate(subsets) if len(t - s) % 2) for s in subsets]
     labels = [
         ("+" if e.sign > 0 else "-") + "(" + ",".join(map(str, e.indices)) + ")"
         for e in elements
     ]
-    return FiniteQuandle(table, labels)
+    return FiniteQuandle(_graph_quandle_rows(masks), labels)
 
 
 def _int_det(matrix) -> int:
@@ -182,20 +175,21 @@ def from_graph(g: SimpleGraph) -> FiniteQuandle:
     (w, b + e(v, w)) where e is the adjacency function, so the row does
     not depend on a.
     """
-    n = g.vertex_count
-    masks = [0] * n
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    labels = [f"({g.label(v)},{a})" for v in range(g.vertex_count) for a in (0, 1)]
+    return FiniteQuandle(_graph_quandle_rows(_adjacency_masks(g)), labels)
+
+
+def _graph_quandle_rows(masks) -> list[list[int]]:
+    """The table of the graph quandle with these adjacency bitmasks: the
+    row at (v, 0) and at (v, 1) swaps (w, 0) and (w, 1) exactly when bit
+    w of masks[v] is set."""
     table = []
-    for v in range(n):
+    for m in masks:
         row = []
-        for w in range(n):
-            row += [2 * w + 1, 2 * w] if (masks[v] >> w) & 1 else [2 * w, 2 * w + 1]
-        table.append(row)
-        table.append(row)
-    labels = [f"({g.label(v)},{a})" for v in range(n) for a in (0, 1)]
-    return FiniteQuandle(table, labels)
+        for w in range(len(masks)):
+            row += [2 * w + 1, 2 * w] if m >> w & 1 else [2 * w, 2 * w + 1]
+        table += (row, row)
+    return table
 
 
 class CocycleTable:

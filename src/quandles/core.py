@@ -182,13 +182,6 @@ class FiniteQuandle:
     def __repr__(self):
         return f"FiniteQuandle(size={self.size})"
 
-    def row(self, x: int) -> tuple[int, ...]:
-        return self.table[x]
-
-    def apply(self, x: int, y: int) -> int:
-        """Image of y under the symmetry at x."""
-        return self.table[x][y]
-
     def symmetry(self, x: int) -> Permutation:
         return Permutation(self.table[x])
 
@@ -249,8 +242,6 @@ def iter_isomorphisms(q1: FiniteQuandle, q2: FiniteQuandle, *, node_budget: int 
         return
     s1 = quandle_structure(q1.table)
     s2 = s1 if q2.table == q1.table else quandle_structure(q2.table)
-    if sorted(s1.invariants) != sorted(s2.invariants):
-        return
     yield from isomorphisms(s1, s2, node_budget)
 
 
@@ -262,13 +253,18 @@ def find_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle, *, node_budget: int =
 
 
 def _validate_subset(q: FiniteQuandle, subset) -> tuple[int, ...]:
-    pts = sorted(set(subset))
-    if not pts:
-        raise InputError("subset must be nonempty")
+    """The distinct points of subset, sorted; each is checked first, in
+    the order given."""
+    try:
+        pts = tuple(subset)
+    except TypeError:
+        raise InputError("subset must be an iterable of points") from None
     for p in pts:
         if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < q.size:
             raise InputError(f"point {p!r} is out of range")
-    return tuple(pts)
+    if not pts:
+        raise InputError("subset must be nonempty")
+    return tuple(sorted(set(pts)))
 
 
 def is_subquandle(q: FiniteQuandle, subset) -> bool:
@@ -277,9 +273,7 @@ def is_subquandle(q: FiniteQuandle, subset) -> bool:
     inside = set(pts)
     for a in pts:
         row = q.table[a]
-        inv = [0] * q.size
-        for y, v in enumerate(row):
-            inv[v] = y
+        inv = _inverse(row)
         for x in pts:
             if row[x] not in inside or inv[x] not in inside:
                 return False
@@ -449,12 +443,7 @@ def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
     points = range(n)
     all_perms = list(itertools.permutations(points))
-    inv_of = {}
-    for p in all_perms:
-        inv = [0] * n
-        for x, y in enumerate(p):
-            inv[y] = x
-        inv_of[p] = tuple(inv)
+    inv_of = {p: _inverse(p) for p in all_perms}
     type_key = {p: tuple(-c for c in _cycle_type(p)) for p in all_perms}
     row_choices = [[p for p in all_perms if p[x] == x] for x in points]
 

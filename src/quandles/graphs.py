@@ -138,10 +138,7 @@ def find_graph_isomorphism(g1: SimpleGraph, g2: SimpleGraph, *, vertex_cap: int 
             f"graphs have {n} vertices, above the isomorphism cap {vertex_cap}; "
             "raise vertex_cap to search further"
         )
-    s1, s2 = _structure(g1), _structure(g2)
-    if sorted(s1.invariants) != sorted(s2.invariants):
-        return None
-    images = next(isomorphisms(s1, s2), None)
+    images = next(isomorphisms(_structure(g1), _structure(g2)), None)
     return None if images is None else Permutation(images)
 
 

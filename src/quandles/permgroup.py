@@ -5,7 +5,7 @@ Groups are given by generators.  Order and membership are decided on a
 stabilizer chain built by deterministic Schreier-Sims (Sims 1970;
 Seress, Permutation Group Algorithms, CUP 2003, ch. 4) on raw image
 tuples; orbits, transitivity and abelianness need only the generators.
-No element is listed unless closure() is asked for.
+No element is ever listed.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import functools
 import operator
 
 from ._record import Record
-from .errors import InputError, ResourceLimitError
-
-DEFAULT_ELEMENT_CAP = 10**6
+from .errors import InputError
 
 
 def _compose(a, b):
@@ -25,7 +23,11 @@ def _compose(a, b):
 
 
 def _inverse(a):
-    return tuple(sorted(range(len(a)), key=a.__getitem__))
+    """Images of the inverse permutation, for an image tuple."""
+    inv = [0] * len(a)
+    for x, y in enumerate(a):
+        inv[y] = x
+    return tuple(inv)
 
 
 @functools.total_ordering
@@ -40,7 +42,10 @@ class Permutation(Record):
     def __init__(self, images):
         images = tuple(images)
         n = len(images)
-        if sorted(images) != list(range(n)):
+        ints = set(map(type, images)) <= {int} or all(
+            isinstance(v, int) and not isinstance(v, bool) for v in images
+        )
+        if not ints or sorted(images) != list(range(n)):
             raise InputError(f"not a permutation of 0..{n - 1}: {images!r}")
         # Stored directly, not through _set: the group code builds many.
         object.__setattr__(self, "images", images)
@@ -95,11 +100,6 @@ def _cycle_type(images) -> tuple[int, ...]:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths))
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """(p o q)(x) = p(q(x))."""
-    return p.compose(q)
 
 
 def _row_kernel(rows):
@@ -227,21 +227,38 @@ def _schreier_residue(chain, i, ident):
     return None
 
 
+def _find(parent, x):
+    """The root of x in the union-find forest parent, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _unite(parent, g):
+    """Merge the class of each point x with that of g[x]."""
+    for x, gx in enumerate(g):
+        rx, rg = _find(parent, x), _find(parent, gx)
+        if rx != rg:
+            parent[rg] = rx
+
+
 class PermGroup:
     """A permutation group presented by generators.
 
     Order and membership are decided on a stabilizer chain, built on
-    first use by deterministic Schreier-Sims and cached.  Elements are
-    listed only by closure(), in lexicographic order of images, so
-    results are reproducible.
+    first use by deterministic Schreier-Sims and cached; orbits,
+    transitivity and abelianness are read off the generators.
     """
 
     def __init__(self, degree, generators=()):
+        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
+            raise InputError("group degree must be a nonnegative integer")
         gens = []
         seen = set()
         for g in generators:
             if not isinstance(g, Permutation):
-                g = Permutation(tuple(g))
+                g = Permutation(g)
             if g.degree != degree:
                 raise InputError(
                     f"generator degree {g.degree} does not match group degree {degree}"
@@ -252,7 +269,6 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._chain = None
-        self._sorted = None
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"
@@ -277,45 +293,14 @@ class PermGroup:
         residue, depth = _sift(chain, perm.images, 0)
         return depth == len(chain) and residue == tuple(range(self.degree))
 
-    def closure(self, cap: int = DEFAULT_ELEMENT_CAP) -> tuple[Permutation, ...]:
-        """All elements, sorted by images: the products u_1 o ... o u_k of
-        one transversal element per level of the stabilizer chain.
-
-        A group of more than cap elements is refused before any element
-        is built.
-        """
-        if self._sorted is None:
-            order = self.order()
-            if order > cap:
-                raise ResourceLimitError(
-                    f"group has {order} elements, above the closure cap {cap}; "
-                    "pass a larger cap to closure() to list them"
-                )
-            elements = [tuple(range(self.degree))]
-            for level in reversed(self._stabilizer_chain()):
-                elements = [
-                    _compose(u, e) for u, _ in level.transversal.values() for e in elements
-                ]
-            self._sorted = tuple(Permutation(e) for e in sorted(elements))
-        return self._sorted
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of the points; blocks sorted by minimum element."""
         parent = list(range(self.degree))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for g in self.generators:
-            for x in range(self.degree):
-                rx, ry = find(x), find(g.images[x])
-                if rx != ry:
-                    parent[ry] = rx
+            _unite(parent, g.images)
         blocks = {}
         for x in range(self.degree):
-            blocks.setdefault(find(x), []).append(x)
+            blocks.setdefault(_find(parent, x), []).append(x)
         return tuple(tuple(sorted(b)) for b in sorted(blocks.values(), key=min))
 
     def is_transitive(self) -> bool:
@@ -326,34 +311,3 @@ class PermGroup:
     def is_abelian(self) -> bool:
         """Generators pairwise commute iff the generated group is abelian."""
         return _noncommuting_pair([g.images for g in self.generators]) is None
-
-
-def perm_to_list(p: Permutation) -> list[int]:
-    return list(p.images)
-
-
-def perm_from_list(images) -> Permutation:
-    if not isinstance(images, (list, tuple)) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in images
-    ):
-        raise InputError("a permutation serializes as a list of integers")
-    return Permutation(tuple(images))
-
-
-def group_to_dict(g: PermGroup) -> dict:
-    return {
-        "degree": g.degree,
-        "generators": [perm_to_list(p) for p in g.generators],
-    }
-
-
-def group_from_dict(d) -> PermGroup:
-    if not isinstance(d, dict) or "degree" not in d or "generators" not in d:
-        raise InputError('group JSON needs "degree" and "generators"')
-    degree = d["degree"]
-    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-        raise InputError("group degree must be a nonnegative integer")
-    gens = d["generators"]
-    if not isinstance(gens, list):
-        raise InputError("group generators must be a list")
-    return PermGroup(degree, [perm_from_list(p) for p in gens])

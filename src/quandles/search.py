@@ -30,7 +30,7 @@ II, JSC 2014): see automorphism_generators.
 from __future__ import annotations
 
 from .errors import ResourceLimitError
-from .permgroup import _cycle_type
+from .permgroup import _cycle_type, _find, _unite
 
 # Colours are below 8: three bits for a quandle, one for a graph.
 PALETTE = 8
@@ -179,11 +179,14 @@ class _Search:
 
 
 def isomorphisms(s1: Structure, s2: Structure, node_budget=None):
-    """Yield every isomorphism s1 -> s2 as an image tuple.
+    """Yield every isomorphism s1 -> s2 as an image tuple; none, with no
+    search, when the multisets of point invariants differ.
 
     node_budget None means no limit; otherwise exceeding it raises
     ResourceLimitError.
     """
+    if sorted(s1.invariants) != sorted(s2.invariants):
+        return
     search = _Search(s1, s2, node_budget)
     yield from search.completions(*search.start())
 
@@ -214,13 +217,6 @@ def automorphism_generators(s: Structure, node_budget=None) -> list[tuple[int, .
         search.extend(img, dom, b, b)
 
     parent = list(range(s.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     gens = []
     for b, cands, img, dom in reversed(levels):
         failed = []
@@ -229,8 +225,8 @@ def automorphism_generators(s: Structure, node_budget=None) -> list[tuple[int, .
             low = cands & -cands
             cands ^= low
             y = low.bit_length() - 1
-            root = find(y)
-            if root == find(b) or any(find(f) == root for f in failed):
+            root = _find(parent, y)
+            if root == _find(parent, b) or any(_find(parent, f) == root for f in failed):
                 continue
             search.node()
             child_img, child_dom = img[:], dom[:]
@@ -241,8 +237,5 @@ def automorphism_generators(s: Structure, node_budget=None) -> list[tuple[int, .
                 failed.append(y)
                 continue
             gens.append(g)
-            for x, gx in enumerate(g):
-                rx, rg = find(x), find(gx)
-                if rx != rg:
-                    parent[rg] = rx
+            _unite(parent, g)
     return gens

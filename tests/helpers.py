@@ -406,6 +406,12 @@ def closure_by_products(degree, gens):
     return elements
 
 
+def group_elements(group):
+    """Every element of a PermGroup, as image tuples: closure_by_products
+    of its generators."""
+    return closure_by_products(group.degree, [p.images for p in group.generators])
+
+
 def orbit_partition(degree, perms):
     """Orbits of the points under the permutations, as sorted tuples
     sorted by their smallest point."""

@@ -34,7 +34,7 @@ from quandles import (
 from quandles.cli import main as cli_main
 from quandles.graphs import find_graph_isomorphism
 
-from helpers import gf2_rank, naive_quandle_classes, petersen_edges, random_edge_set
+from helpers import gf2_rank, group_elements, naive_quandle_classes, petersen_edges, random_edge_set
 
 
 @contextmanager
@@ -140,11 +140,11 @@ def test_criterion_3_homogeneity_matches_vertex_transitivity():
         pet = SimpleGraph(10, petersen_edges())
         assert graphs.is_vertex_transitive(pet)
         q = from_graph(pet)
-        autos = graphs.graph_automorphisms(pet).closure()
+        autos = sorted(group_elements(graphs.graph_automorphisms(pet)))
         reached = set()
         for w in range(10):
-            phi = next(p for p in autos if p(0) == w)
-            lift = list(2 * phi(v) + a for v in range(10) for a in (0, 1))
+            phi = next(p for p in autos if p[0] == w)
+            lift = list(2 * phi[v] + a for v in range(10) for a in (0, 1))
             for b in (0, 1):
                 images = list(lift)
                 if b == 1:

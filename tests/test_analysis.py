@@ -45,6 +45,7 @@ from helpers import (
     first_noncommuting_products,
     first_noncommuting_rows,
     gf2_rank,
+    group_elements,
     labelled_products,
     orbit_partition,
     quandle_automorphisms,
@@ -126,7 +127,7 @@ def test_even_inner_and_displacement_groups():
         assert even_inner_group(dihedral(r)).is_abelian()
     # involutive quandles: the two generator sets coincide elementwise
     for q in (dihedral(6), aknn(2, 4), from_graph(graphs.cycle(4))):
-        assert set(displacement_group(q).closure()) == set(even_inner_group(q).closure())
+        assert group_elements(displacement_group(q)) == group_elements(even_inner_group(q))
 
 
 def test_every_row_is_an_automorphism():
@@ -163,14 +164,14 @@ def test_fiber_flips_are_automorphisms():
         images[2 * u], images[2 * u + 1] = images[2 * u + 1], images[2 * u]
         flip = PointMap(10, 10, tuple(images))
         assert is_homomorphism(flip, q, q)
-        assert flip.images in {p.images for p in automorphism_group(q).closure()}
+        assert flip.images in group_elements(automorphism_group(q))
 
 
 def test_graph_automorphism_lifts_are_quandle_automorphisms():
     g = graphs.cycle(5)
     q = from_graph(g)
-    for phi in graphs.graph_automorphisms(g).closure():
-        lift = PointMap(10, 10, tuple(2 * phi(v) + a for v in range(5) for a in (0, 1)))
+    for phi in group_elements(graphs.graph_automorphisms(g)):
+        lift = PointMap(10, 10, tuple(2 * phi[v] + a for v in range(5) for a in (0, 1)))
         assert is_homomorphism(lift, q, q)
 
 
@@ -181,7 +182,7 @@ def assert_automorphisms(q, elements):
     assert len(aut.generators) <= q.size - 1
     assert aut.order() == len(elements)
     assert aut.orbits() == orbit_partition(q.size, elements)
-    assert {p.images for p in aut.closure()} == set(elements)
+    assert group_elements(aut) == set(elements)
 
 
 def test_automorphisms_match_the_backtracking_oracle_on_small_classes():
@@ -259,7 +260,7 @@ def permutation_hoards(exc):
     "over_cap",
     [
         lambda: automorphism_group(trivial(8), node_budget=20),
-        lambda: PermGroup(8, [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)]).closure(5000),
+        lambda: find_isomorphism(dihedral(9), discrete_torus((3, 3)), node_budget=5),
     ],
 )
 def test_refusals_drop_the_elements_found_so_far(over_cap):
@@ -274,7 +275,7 @@ def test_normality_of_symmetries_under_automorphisms():
         if q.size > 10:
             continue
         rows = [q.symmetry(x) for x in range(q.size)]
-        for f in automorphism_group(q).closure():
+        for f in map(Permutation, group_elements(automorphism_group(q))):
             f_inv = f.inverse()
             for y in range(q.size):
                 assert f.compose(rows[y]).compose(f_inv) == rows[f(y)]
@@ -286,9 +287,9 @@ def test_automorphisms_permute_components():
         if q.size > 10:
             continue
         comps = {frozenset(c) for c in connected_components(q)}
-        for f in automorphism_group(q).closure():
+        for f in group_elements(automorphism_group(q)):
             for c in comps:
-                assert frozenset(f(x) for x in c) in comps
+                assert frozenset(f[x] for x in c) in comps
 
 
 # --------------------------------------------------------------- components
@@ -510,7 +511,6 @@ def test_group_chain_inclusions_hold_elementwise():
         for small, big in ((dis, even), (even, inn), (inn, aut)):
             assert len(big) % len(small) == 0
         assert chain.orders == (len(dis), len(even), len(inn), len(aut))
-        assert {p.images for p in chain.inner.closure()} == inn
 
 
 def test_group_chain_refuses_a_broken_inclusion(monkeypatch):

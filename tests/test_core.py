@@ -379,6 +379,20 @@ def test_empty_subset_is_an_error():
         restrict(dihedral(3), [0, 1])
 
 
+@pytest.mark.parametrize(
+    "subset, message",
+    [
+        ([0, "a"], "point 'a' is out of range"),
+        ([[0]], r"point \[0\] is out of range"),
+        (5, "subset must be an iterable of points"),
+    ],
+)
+@pytest.mark.parametrize("check", [is_subquandle, restrict])
+def test_subset_points_are_checked_before_sorting(check, subset, message):
+    with pytest.raises(InputError, match=message):
+        check(dihedral(3), subset)
+
+
 def test_restricted_subquandle_passes_axioms():
     q = from_graph(graphs.cycle(5))
     comp = (0, 1)
