@@ -68,13 +68,15 @@ def automorphism_group(
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> PermGroup:
     """All table-preserving bijections, as a strong generating set found by
-    the orbit-pruned search of quandles.search; no element is listed."""
+    the orbit-pruned search of quandles.search, with the stabilizer chain
+    read off the search's base; no element is listed."""
     if q.size > point_cap:
         raise ResourceLimitError(
             f"quandle has {q.size} points, above the automorphism cap {point_cap}; "
             "raise point_cap to search further"
         )
-    return PermGroup(q.size, automorphism_generators(quandle_structure(q.table), node_budget))
+    base, gens = automorphism_generators(quandle_structure(q.table), node_budget)
+    return PermGroup._from_base(q.size, base, gens)
 
 
 def connected_components(q: FiniteQuandle) -> tuple[tuple[int, ...], ...]:

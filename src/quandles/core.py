@@ -267,9 +267,9 @@ def _validate_subset(q: FiniteQuandle, subset) -> tuple[int, ...]:
     return tuple(sorted(set(pts)))
 
 
-def is_subquandle(q: FiniteQuandle, subset) -> bool:
-    """True iff the subset is closed under every member symmetry and its inverse."""
-    pts = _validate_subset(q, subset)
+def _is_closed(q: FiniteQuandle, pts) -> bool:
+    """True iff the validated points pts are closed under every member
+    symmetry and its inverse."""
     inside = set(pts)
     for a in pts:
         row = q.table[a]
@@ -280,10 +280,15 @@ def is_subquandle(q: FiniteQuandle, subset) -> bool:
     return True
 
 
+def is_subquandle(q: FiniteQuandle, subset) -> bool:
+    """True iff the subset is closed under every member symmetry and its inverse."""
+    return _is_closed(q, _validate_subset(q, subset))
+
+
 def restrict(q: FiniteQuandle, subset) -> FiniteQuandle:
     """The induced quandle on a subquandle, reindexed to 0..k-1 in sorted order."""
     pts = _validate_subset(q, subset)
-    if not is_subquandle(q, pts):
+    if not _is_closed(q, pts):
         raise InputError(f"subset {pts} is not a subquandle")
     index = {p: i for i, p in enumerate(pts)}
     table = [[index[q.table[a][b]] for b in pts] for a in pts]

@@ -107,8 +107,9 @@ def graph_automorphisms(g: SimpleGraph, *, vertex_cap: int = DEFAULT_VERTEX_CAP)
     """The automorphism group, as a strong generating set.
 
     Found by the search of quandles.search on the adjacency relation,
-    with vertices pruned by degree and neighbor-degree multiset; no
-    element is listed.
+    with vertices pruned by degree and neighbor-degree multiset; the
+    stabilizer chain is read off the search's base, and no element is
+    listed.
     """
     n = g.vertex_count
     if n > vertex_cap:
@@ -116,7 +117,8 @@ def graph_automorphisms(g: SimpleGraph, *, vertex_cap: int = DEFAULT_VERTEX_CAP)
             f"graph has {n} vertices, above the automorphism cap {vertex_cap}; "
             "raise vertex_cap to search further"
         )
-    return PermGroup(n, automorphism_generators(_structure(g)))
+    base, gens = automorphism_generators(_structure(g))
+    return PermGroup._from_base(n, base, gens)
 
 
 def is_vertex_transitive(g: SimpleGraph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> bool:

@@ -2,10 +2,16 @@
 transitivity.
 
 Groups are given by generators.  Order and membership are decided on a
-stabilizer chain built by deterministic Schreier-Sims (Sims 1970;
-Seress, Permutation Group Algorithms, CUP 2003, ch. 4) on raw image
-tuples; orbits, transitivity and abelianness need only the generators.
-No element is ever listed.
+stabilizer chain.  A group known only by its generators gets one from
+deterministic Schreier-Sims that resumes instead of restarting (Sims
+1970; Seress, Permutation Group Algorithms, CUP 2003, ch. 4; Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 2005, sec. 4.4).  A
+group given as a strong generating set for a known base, as the
+automorphism search returns it, has its chain read off level by level
+with no Schreier generator tested.  Chain elements and the row products
+of the axiom check share one stored form (_kernel), so each product is
+one C call.  Orbits, transitivity and abelianness need only the
+generators.  No element is ever listed.
 """
 
 from __future__ import annotations
@@ -102,25 +108,38 @@ def _cycle_type(images) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
+_IDENTITY = bytes(range(256))
+
+
+def _kernel(n):
+    """How permutations of n points are stored for products in C.
+
+    Returns (embed, after, mul).  embed(images) is the stored form of a
+    permutation.  after(b), for b given by its images or stored, is the
+    function taking a stored a to a o b (apply b first), that is a[b[z]]
+    at each z, and mul(a, b) is a o b for stored a and b.  Up to 256
+    points the stored form is the images padded with fixed points to a
+    256-byte translation table, and a o b is b.translate(a).  Above that
+    the stored form is the image tuple, and a o b is an itemgetter over b
+    applied to a.  Two products compare equal exactly when the
+    compositions are equal.
+    """
+    if n <= 256:
+        pad = _IDENTITY[n:]
+        return (lambda r: bytes(r) + pad), (lambda b: bytes(b).translate), (lambda a, b: b.translate(a))
+    return tuple, (lambda b: operator.itemgetter(*b)), (lambda a, b: operator.itemgetter(*b)(a))
+
+
 def _row_kernel(rows):
     """Row products in one C call each.
 
     Returns (left, right) such that right[b](left[a]) is the image
-    sequence of a o b, that is a[b[z]] for each z, for any two of the
-    given rows (equal-length sequences of points 0..n-1).  Up to 256
-    points a row is bytes: left[a] is a padded to a 256-byte translation
-    table and right[b] is bytes(b).translate.  Above that, left[a] is the
-    row tuple and right[b] an itemgetter.  Two products compare equal
-    exactly when the compositions are equal.
+    sequence of a o b for any two of the given rows (equal-length
+    sequences of points 0..n-1): left holds the rows in the stored form
+    of _kernel and right their after functions.
     """
-    n = len(rows[0]) if rows else 0
-    if n <= 256:
-        pad = bytes(range(n, 256))
-        return (
-            [bytes(r) + pad for r in rows],
-            [bytes(r).translate for r in rows],
-        )
-    return [tuple(r) for r in rows], [operator.itemgetter(*r) for r in rows]
+    embed, after, _ = _kernel(len(rows[0]) if rows else 0)
+    return list(map(embed, rows)), list(map(after, rows))
 
 
 def _noncommuting_pair(rows):
@@ -133,98 +152,161 @@ def _noncommuting_pair(rows):
     return None
 
 
+class _Kernel:
+    """Products, inverses and the identity in the stored form of _kernel,
+    for the permutations of one degree."""
+
+    __slots__ = ("degree", "embed", "mul", "ident")
+
+    def __init__(self, degree):
+        self.degree = degree
+        self.embed, _, self.mul = _kernel(degree)
+        self.ident = self.embed(range(degree))
+
+    def __reduce__(self):
+        # The closures do not pickle; the degree rebuilds them.
+        return _Kernel, (self.degree,)
+
+    def inverse(self, a):
+        return self.embed(_inverse(a[: self.degree]))
+
+
 class _Level:
-    """One level of a stabilizer chain: a base point, the strong
-    generators that fix the earlier base points, and the transversal
-    {p: (u, u^-1)} over the orbit of the base point, with u(point) = p."""
+    """One level of a stabilizer chain.
 
-    __slots__ = ("point", "gens", "transversal")
+    It holds a base point, the strong generators that fix the earlier
+    base points (each with its inverse), the orbit of the base point in
+    the order its points were reached, and the transversal {p: (u, u^-1)}
+    with u(point) = p.  tested[k] counts the generators whose Schreier
+    generator at orbit[k] has been tested.  A representative, once
+    chosen, is never replaced, so a tested Schreier generator stays the
+    same element.
+    """
 
-    def __init__(self, point, degree):
-        ident = tuple(range(degree))
+    __slots__ = ("point", "gens", "orbit", "transversal", "tested")
+
+    def __init__(self, point, ident):
         self.point = point
         self.gens = []
+        self.orbit = [point]
         self.transversal = {point: (ident, ident)}
+        self.tested = [0]
 
-    def build_transversal(self):
-        trans = {self.point: self.transversal[self.point]}
-        queue = [self.point]
-        for p in queue:
-            u = trans[p][0]
-            for s in self.gens:
+    def add(self, new_gens, mul):
+        """Append strong generators, given as (s, s^-1), and grow the orbit
+        under all the generators from the points it already has."""
+        gens, orbit, trans, tested = self.gens, self.orbit, self.transversal, self.tested
+        gens.extend(new_gens)
+        old = len(orbit)
+        for k, p in enumerate(orbit):
+            for s, s_inv in new_gens if k < old else gens:
                 q = s[p]
                 if q not in trans:
-                    v = _compose(s, u)
-                    trans[q] = (v, _inverse(v))
-                    queue.append(q)
-        self.transversal = trans
+                    u, u_inv = trans[p]
+                    trans[q] = (mul(s, u), mul(u_inv, s_inv))
+                    orbit.append(q)
+                    tested.append(0)
 
 
-def _sift(chain, g, start):
+def _sift(chain, g, start, kernel):
     """Strip g through chain[start:]: the residue and the index of the
     level where it left the chain (len(chain) if it went through)."""
+    mul, ident = kernel.mul, kernel.ident
     for j in range(start, len(chain)):
         level = chain[j]
-        u = level.transversal.get(g[level.point])
-        if u is None:
-            return g, j
-        g = _compose(u[1], g)
+        p = g[level.point]
+        if p != level.point:
+            u = level.transversal.get(p)
+            if u is None:
+                return g, j
+            g = mul(u[1], g)
+            if g == ident:
+                break
     return g, len(chain)
 
 
-def _schreier_sims(degree, gens) -> list[_Level]:
-    """A stabilizer chain of the group generated by gens (image tuples).
+def _first_moved(g, ident):
+    return next(x for x, y in enumerate(ident) if g[x] != y)
 
-    Deterministic Schreier-Sims: check every Schreier generator
-    u_{s(p)}^-1 s u_p of a level by sifting it through the deeper levels,
-    starting from the deepest level.  A residue that does not sift to the
-    identity becomes a strong generator of every level it fixes the base
-    points of (with a new base point if it fixes them all), and checking
-    resumes at the deepest level it was added to.  When no level leaves a
-    residue, each level's strong generators generate the pointwise
+
+def _schreier_sims(kernel, gens) -> list[_Level]:
+    """A stabilizer chain of the group generated by gens (stored form).
+
+    Deterministic Schreier-Sims that resumes instead of restarting
+    (Seress, Permutation Group Algorithms, ch. 4).  It starts from the
+    chain that the generators give for a base no generator fixes
+    pointwise.  Then, from the deepest level up, every Schreier generator
+    u_{s(p)}^-1 s u_p of a level is sifted through the deeper levels.  A
+    residue that does not sift to the identity becomes a strong generator
+    of every deeper level it fixes the base points of (with a new base
+    point if it fixes them all), and checking moves to the deepest level
+    it was added to.  Each (p, s) pair is tested once: the deeper levels'
+    groups only grow and representatives are never replaced, so a
+    Schreier generator that lay in them still does.  When every pair is
+    tested, each level's strong generators generate the pointwise
     stabilizer of the earlier base points.
     """
-    ident = tuple(range(degree))
+    mul, ident = kernel.mul, kernel.ident
     gens = [g for g in gens if g != ident]
-    chain = []
+    base = []
     for g in gens:
-        if all(g[level.point] == level.point for level in chain):
-            chain.append(_Level(next(x for x in ident if g[x] != x), degree))
-    for j, level in enumerate(chain):
-        fixed = [chain[k].point for k in range(j)]
-        level.gens = [g for g in gens if all(g[b] == b for b in fixed)]
-        level.build_transversal()
+        if all(g[b] == b for b in base):
+            base.append(_first_moved(g, ident))
+    chain = _known_base_chain(kernel, base, gens)
 
     i = len(chain) - 1
     while i >= 0:
-        residue = _schreier_residue(chain, i, ident)
+        level = chain[i]
+        strong, trans, tested = level.gens, level.transversal, level.tested
+        residue = None
+        for k, p in enumerate(level.orbit):
+            while tested[k] < len(strong):
+                s = strong[tested[k]][0]
+                tested[k] += 1
+                q = s[p]
+                if q == p == level.point:
+                    # The Schreier generator is s, a strong generator of
+                    # the next level: every generator that fixes a
+                    # level's base point was added to the level below.
+                    continue
+                su = mul(s, trans[p][0])
+                v, v_inv = trans[q]
+                if su == v:
+                    continue
+                h, j = _sift(chain, mul(v_inv, su), i + 1, kernel)
+                if j < len(chain) or h != ident:
+                    residue = h, j
+                    break
+            if residue:
+                break
         if residue is None:
             i -= 1
             continue
         h, j = residue
         if j == len(chain):
-            chain.append(_Level(next(x for x in ident if h[x] != x), degree))
-        for level in chain[i + 1 : j + 1]:
-            level.gens.append(h)
-            level.build_transversal()
+            chain.append(_Level(_first_moved(h, ident), ident))
+        pair = [(h, kernel.inverse(h))]
+        for deeper in chain[i + 1 : j + 1]:
+            deeper.add(pair, mul)
         i = j
     return chain
 
 
-def _schreier_residue(chain, i, ident):
-    """The first Schreier generator of level i that does not sift to the
-    identity through the deeper levels, as (residue, level reached), or None."""
-    trans = chain[i].transversal
-    for p, (u, _) in trans.items():
-        for s in chain[i].gens:
-            su = _compose(s, u)
-            v, v_inv = trans[s[p]]
-            if su == v:
-                continue
-            h, j = _sift(chain, _compose(v_inv, su), i + 1)
-            if j < len(chain) or h != ident:
-                return h, j
-    return None
+def _known_base_chain(kernel, base, gens) -> list[_Level]:
+    """The chain that gens (stored form) give for the base points base:
+    level i is the orbit of b_i under the generators that fix
+    b_1..b_{i-1}.  It is the stabilizer chain of the group they generate
+    when they are a strong generating set for that base.  Levels with a
+    trivial orbit are left out; they change neither orders nor sifting."""
+    chain = []
+    fixing = [(g, kernel.inverse(g)) for g in gens]
+    for b in base:
+        level = _Level(b, kernel.ident)
+        level.add(fixing, kernel.mul)
+        if len(level.orbit) > 1:
+            chain.append(level)
+        fixing = [pair for pair in fixing if pair[0][b] == b]
+    return chain
 
 
 def _find(parent, x):
@@ -247,8 +329,10 @@ class PermGroup:
     """A permutation group presented by generators.
 
     Order and membership are decided on a stabilizer chain, built on
-    first use by deterministic Schreier-Sims and cached; orbits,
-    transitivity and abelianness are read off the generators.
+    first use and cached: by resumable Schreier-Sims, or, for a group
+    made by _from_base, read off the strong generating set of a known
+    base.  Orbits, transitivity and abelianness are read off the
+    generators.
     """
 
     def __init__(self, degree, generators=()):
@@ -268,30 +352,45 @@ class PermGroup:
                 gens.append(g)
         self.degree = degree
         self.generators = tuple(gens)
+        self._base = None
         self._chain = None
+
+    @classmethod
+    def _from_base(cls, degree, base, generators) -> "PermGroup":
+        """The group of a strong generating set for the base points base:
+        the generators that fix b_1..b_{i-1} reach the whole orbit of b_i
+        under the group they generate, at every i."""
+        group = cls(degree, generators)
+        group._base = tuple(base)
+        return group
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, generators={len(self.generators)})"
 
-    def _stabilizer_chain(self) -> list[_Level]:
+    def _stabilizer_chain(self) -> tuple[_Kernel, list[_Level]]:
         if self._chain is None:
-            self._chain = _schreier_sims(self.degree, [g.images for g in self.generators])
+            kernel = _Kernel(self.degree)
+            gens = [kernel.embed(g.images) for g in self.generators]
+            if self._base is None:
+                self._chain = kernel, _schreier_sims(kernel, gens)
+            else:
+                self._chain = kernel, _known_base_chain(kernel, self._base, gens)
         return self._chain
 
     def order(self) -> int:
         """Product of the basic orbit sizes of the stabilizer chain."""
         out = 1
-        for level in self._stabilizer_chain():
-            out *= len(level.transversal)
+        for level in self._stabilizer_chain()[1]:
+            out *= len(level.orbit)
         return out
 
     def __contains__(self, perm) -> bool:
         """Membership by sifting through the stabilizer chain."""
         if not isinstance(perm, Permutation) or perm.degree != self.degree:
             return False
-        chain = self._stabilizer_chain()
-        residue, depth = _sift(chain, perm.images, 0)
-        return depth == len(chain) and residue == tuple(range(self.degree))
+        kernel, chain = self._stabilizer_chain()
+        residue, depth = _sift(chain, kernel.embed(perm.images), 0, kernel)
+        return depth == len(chain) and residue == kernel.ident
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbit partition of the points; blocks sorted by minimum element."""

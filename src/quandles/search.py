@@ -22,9 +22,11 @@ point with the fewest candidates, ties going to the lowest index, and
 keeps its own stack, so its depth is bounded by memory and not by the
 recursion limit.  Each tried assignment is one node of the node budget.
 
-Automorphisms come back as a strong generating set, with automorphism
-pruning in the manner of McKay and Piperno (Practical graph isomorphism
-II, JSC 2014): see automorphism_generators.
+Automorphisms come back as a base and a strong generating set for it,
+found with automorphism pruning in the manner of McKay and Piperno
+(Practical graph isomorphism II, JSC 2014): see automorphism_generators.
+The base is the one the search fixes anyway, so the group kernel reads
+the stabilizer chain off it without Schreier-Sims.
 """
 
 from __future__ import annotations
@@ -191,8 +193,9 @@ def isomorphisms(s1: Structure, s2: Structure, node_budget=None):
     yield from search.completions(*search.start())
 
 
-def automorphism_generators(s: Structure, node_budget=None) -> list[tuple[int, ...]]:
-    """A strong generating set of Aut(s), as image tuples.
+def automorphism_generators(s: Structure, node_budget=None) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """A base of Aut(s) and a strong generating set for it, as
+    (base points, generators as image tuples).
 
     First the base: fix the branching point of the search to itself,
     again and again, until every point is assigned (the identity path).
@@ -202,8 +205,9 @@ def automorphism_generators(s: Structure, node_budget=None) -> list[tuple[int, .
     candidate y that is neither in b_i's orbit under the generators
     found so far nor in the orbit of a y that failed at this level
     (those fail as well).  The generators found at levels i and deeper
-    generate the stabilizer of b_1..b_{i-1}, whose orbit of b_i they
-    reach, so together they are a strong generating set for this base.
+    are those that fix b_1..b_{i-1}; they generate the stabilizer of
+    b_1..b_{i-1} and reach its whole orbit of b_i, so they are a strong
+    generating set for this base.
     """
     search = _Search(s, s, node_budget)
     img, dom = search.start()
@@ -238,4 +242,4 @@ def automorphism_generators(s: Structure, node_budget=None) -> list[tuple[int, .
                 continue
             gens.append(g)
             _unite(parent, g)
-    return gens
+    return tuple(level[0] for level in levels), gens

@@ -406,6 +406,14 @@ def closure_by_products(degree, gens):
     return elements
 
 
+def sympy_order(degree, gens):
+    """Order of the group generated by these image tuples, by sympy's
+    own Schreier-Sims."""
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    return PermutationGroup([Permutation(list(g)) for g in gens] or [Permutation(list(range(degree)))]).order()
+
+
 def group_elements(group):
     """Every element of a PermGroup, as image tuples: closure_by_products
     of its generators."""

@@ -51,6 +51,7 @@ from helpers import (
     quandle_automorphisms,
     random_edge_set,
     relabeled_table,
+    sympy_order,
 )
 
 SINGLE_FLIP = FiniteQuandle([[0, 2, 1], [0, 1, 2], [0, 1, 2]])
@@ -73,6 +74,15 @@ def test_inner_order_of_the_cycle30_graph_quandle_is_two_to_the_gf2_rank():
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     assert inner_group(from_graph(g)).order() == 2 ** gf2_rank(masks, 30) == 2**28
+
+
+@pytest.mark.parametrize("graph", [graphs.cycle(60), graphs.johnson(7, 3)], ids=["cycle60", "johnson7_3"])
+def test_inner_order_of_large_graph_quandles_is_two_to_the_gf2_rank(graph):
+    masks = [0] * graph.vertex_count
+    for u, v in graph.edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    assert inner_group(from_graph(graph)).order() == 2 ** gf2_rank(masks, graph.vertex_count)
 
 
 def test_inner_group_of_trivial_quandle():
@@ -204,6 +214,27 @@ def test_automorphisms_match_the_backtracking_oracle_on_relabeled_graph_quandles
             sigma = rng.sample(range(q.size), q.size)
             relabeled = FiniteQuandle(relabeled_table(q.table, sigma))
             assert_automorphisms(relabeled, [conjugate(f, sigma) for f in oracle])
+
+
+def test_automorphism_chains_read_off_the_search_base_are_complete():
+    # The chain of automorphism_group is read off the base the search
+    # fixed, with no Schreier generator tested.  Generators that are not a
+    # strong generating set for that base give a product of orbit sizes
+    # that differs from the order of the group they generate.
+    def certified_order(q):
+        aut = automorphism_group(q)
+        assert aut.order() == sympy_order(q.size, [g.images for g in aut.generators]), q.table
+        return aut.order()
+
+    for n in range(1, 7):
+        for q in enumerate_quandles(n):
+            assert certified_order(q) == len(quandle_automorphisms(q.table))
+    rng = random.Random(97)
+    for _ in range(25):
+        n = rng.randint(2, 8)
+        q = from_graph(SimpleGraph(n, random_edge_set(rng, n)))
+        sigma = rng.sample(range(q.size), q.size)
+        assert certified_order(q) == certified_order(FiniteQuandle(relabeled_table(q.table, sigma)))
 
 
 RELABEL_TABLES = [q.table for n in range(1, 6) for q in enumerate_quandles(n)] + [

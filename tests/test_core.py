@@ -393,6 +393,16 @@ def test_subset_points_are_checked_before_sorting(check, subset, message):
         check(dihedral(3), subset)
 
 
+def test_restrict_validates_its_subset_once(monkeypatch):
+    import quandles.core as core
+
+    calls = []
+    validate = core._validate_subset
+    monkeypatch.setattr(core, "_validate_subset", lambda q, subset: calls.append(subset) or validate(q, subset))
+    assert restrict(dihedral(4), [2, 0]) == trivial(2)
+    assert calls == [[2, 0]]
+
+
 def test_restricted_subquandle_passes_axioms():
     q = from_graph(graphs.cycle(5))
     comp = (0, 1)

@@ -21,7 +21,7 @@ from quandles.graphs import (
     to_dot,
 )
 
-from helpers import group_elements, petersen_edges, random_edge_set
+from helpers import group_elements, petersen_edges, random_edge_set, sympy_order
 
 
 def test_adjacency_basics():
@@ -204,6 +204,9 @@ def test_automorphisms_match_networkx():
     for g in named_graphs() + random_graphs(79):
         aut = graph_automorphisms(g)
         assert len(aut.generators) <= g.vertex_count - 1
+        # The chain is read off the search's base: its order must be that
+        # of the group the generators generate.
+        assert aut.order() == sympy_order(g.vertex_count, [p.images for p in aut.generators])
         count = nx_automorphism_count(g)
         if count is None:
             assert aut.order() > COUNT_LIMIT
