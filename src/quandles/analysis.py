@@ -8,7 +8,6 @@ from typing import NamedTuple
 from ._record import Record
 from .constructions import discrete_torus
 from .core import (
-    DEFAULT_NODE_BUDGET,
     ENUMERATION_CAP,
     FiniteQuandle,
     PointMap,
@@ -25,9 +24,7 @@ from .errors import (
 )
 from .graphs import SimpleGraph, is_vertex_transitive
 from .permgroup import PermGroup, Permutation, _compose, _inverse, _noncommuting_pair, _row_kernel
-from .search import automorphism_generators, quandle_structure
-
-DEFAULT_AUT_POINT_CAP = 16
+from .search import DEFAULT_NODE_BUDGET, automorphism_generators, quandle_structure
 
 
 def inner_group(q: FiniteQuandle) -> PermGroup:
@@ -61,20 +58,11 @@ def displacement_group(q: FiniteQuandle) -> PermGroup:
     return PermGroup(q.size, _displacement_generators(q))
 
 
-def automorphism_group(
-    q: FiniteQuandle,
-    *,
-    point_cap: int = DEFAULT_AUT_POINT_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> PermGroup:
+def automorphism_group(q: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET) -> PermGroup:
     """All table-preserving bijections, as a strong generating set found by
     the orbit-pruned search of quandles.search, with the stabilizer chain
-    read off the search's base; no element is listed."""
-    if q.size > point_cap:
-        raise ResourceLimitError(
-            f"quandle has {q.size} points, above the automorphism cap {point_cap}; "
-            "raise point_cap to search further"
-        )
+    read off the search's base; no element is listed.  Exceeding
+    node_budget raises ResourceLimitError."""
     base, gens = automorphism_generators(quandle_structure(q.table), node_budget)
     return PermGroup._from_base(q.size, base, gens)
 
@@ -130,10 +118,10 @@ def _noncommuting_composites(q: FiniteQuandle, *, inverse: bool):
 class PropertyReport(Record):
     """All property flags of one quandle, with counterexample witnesses.
 
-    homogeneous is None when the automorphism cap was exceeded; every
-    other flag is always decided.  witnesses maps the name of each failed
-    property to a tuple of points exhibiting the failure; it defaults to
-    a fresh empty dict.
+    homogeneous is None when the automorphism search used up its node
+    budget; every other flag is always decided.  witnesses maps the name
+    of each failed property to a tuple of points exhibiting the failure;
+    it defaults to a fresh empty dict.
     """
 
     __slots__ = (
@@ -186,14 +174,9 @@ class PropertyReport(Record):
         }
 
 
-def property_report(
-    q: FiniteQuandle,
-    *,
-    point_cap: int = DEFAULT_AUT_POINT_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> PropertyReport:
+def property_report(q: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET) -> PropertyReport:
     """Compute every property flag; homogeneity falls back to unknown (None)
-    when the quandle is above the automorphism cap."""
+    when the automorphism search uses up node_budget."""
     witnesses = {}
 
     components = connected_components(q)
@@ -221,7 +204,7 @@ def property_report(
 
     homogeneous: bool | None
     try:
-        aut = automorphism_group(q, point_cap=point_cap, node_budget=node_budget)
+        aut = automorphism_group(q, node_budget=node_budget)
         orbits = aut.orbits()
         homogeneous = len(orbits) == 1
         if not homogeneous:
@@ -321,16 +304,11 @@ class Characterization(Record):
         return bool(self.components_size_two and self.crossed and self.homogeneous)
 
 
-def characterize(
-    q: FiniteQuandle,
-    *,
-    point_cap: int = DEFAULT_AUT_POINT_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> Characterization:
+def characterize(q: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Characterization:
     components = connected_components(q)
     size_two = all(len(c) == 2 for c in components)
     crossed = _crossed_witness(q) is None
-    aut = automorphism_group(q, point_cap=point_cap, node_budget=node_budget)
+    aut = automorphism_group(q, node_budget=node_budget)
     homogeneous = aut.is_transitive()
     graph = relabeling = vertex_transitive = None
     if size_two and crossed:
@@ -366,12 +344,7 @@ class GroupChain(Record):
         self._set(displacement, even_inner, inner, aut, orders)
 
 
-def group_chain(
-    q: FiniteQuandle,
-    *,
-    point_cap: int = DEFAULT_AUT_POINT_CAP,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> GroupChain:
+def group_chain(q: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET) -> GroupChain:
     """The displacement, even-inner, inner and automorphism groups, with
     each inclusion between consecutive ones verified by sifting the
     smaller group's generators through the larger group's stabilizer
@@ -379,7 +352,7 @@ def group_chain(
     dis = displacement_group(q)
     even = even_inner_group(q)
     inn = inner_group(q)
-    aut = automorphism_group(q, point_cap=point_cap, node_budget=node_budget)
+    aut = automorphism_group(q, node_budget=node_budget)
     chain = [
         ("displacement", dis, "even-inner", even),
         ("even-inner", even, "inner", inn),

@@ -6,8 +6,9 @@ bad usage, an exceeded search limit, or an input too deep or too large
 for the recursion limit or memory.  Output for fixed inputs is
 byte-stable: collections are sorted and nothing is timestamped.
 
-QUANDLES_NODE_BUDGET overrides the backtracking-node budget used by the
-isomorphism searches; it is the only environment knob.
+QUANDLES_NODE_BUDGET overrides the backtracking-node budget (default
+10^5) of the isomorphism and automorphism searches; it is the only
+environment knob.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import os
 import sys
 
-from . import analysis, constructions, core, graphs
+from . import analysis, constructions, core, graphs, search
 from .errors import (
     BadComponentSizeError,
     InputError,
@@ -39,7 +40,7 @@ PROPERTY_NAMES = (
 def _node_budget() -> int:
     raw = os.environ.get("QUANDLES_NODE_BUDGET")
     if raw is None:
-        return core.DEFAULT_NODE_BUDGET
+        return search.DEFAULT_NODE_BUDGET
     try:
         value = int(raw)
     except ValueError:
@@ -169,7 +170,7 @@ def cmd_check(args) -> int:
     for name in requested:
         value = getattr(report, name)
         if value is None:
-            print(f"error: {name} could not be decided within the caps", file=sys.stderr)
+            print(f"error: {name} could not be decided within the node budget", file=sys.stderr)
             return 2
         if not value:
             return 1

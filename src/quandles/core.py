@@ -19,10 +19,9 @@ import itertools
 
 from ._record import Record
 from .errors import AxiomError, InputError
-from .permgroup import Permutation, _cycle_type, _inverse, _row_kernel
-from .search import isomorphisms, quandle_structure
+from .permgroup import _cycle_type, _inverse, _row_kernel
+from .search import DEFAULT_NODE_BUDGET, isomorphisms, quandle_structure
 
-DEFAULT_NODE_BUDGET = 10**7
 ENUMERATION_CAP = 7
 
 
@@ -182,9 +181,6 @@ class FiniteQuandle:
     def __repr__(self):
         return f"FiniteQuandle(size={self.size})"
 
-    def symmetry(self, x: int) -> Permutation:
-        return Permutation(self.table[x])
-
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels else str(x)
 
@@ -203,15 +199,8 @@ class PointMap(Record):
                 raise InputError(f"image of {x} is {y!r}, out of range")
         self._set(domain_size, codomain_size, images)
 
-    @classmethod
-    def identity(cls, n: int) -> "PointMap":
-        return cls(n, n, tuple(range(n)))
-
     def __call__(self, x: int) -> int:
         return self.images[x]
-
-    def is_bijective(self) -> bool:
-        return self.domain_size == self.codomain_size and len(set(self.images)) == self.domain_size
 
 
 def is_homomorphism(f: PointMap, q1: FiniteQuandle, q2: FiniteQuandle) -> bool:

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import InputError, ResourceLimitError
-from .permgroup import PermGroup, Permutation
-from .search import Structure, automorphism_generators, graph_structure, isomorphisms
-
-DEFAULT_VERTEX_CAP = 12
+from .errors import InputError
+from .permgroup import PermGroup
+from .search import automorphism_generators, graph_structure
 
 
 class SimpleGraph:
@@ -99,49 +97,23 @@ def _vertex_profiles(g: SimpleGraph) -> list[tuple]:
     ]
 
 
-def _structure(g: SimpleGraph) -> Structure:
-    return graph_structure(_adjacency_masks(g), _vertex_profiles(g))
-
-
-def graph_automorphisms(g: SimpleGraph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> PermGroup:
+def graph_automorphisms(g: SimpleGraph) -> PermGroup:
     """The automorphism group, as a strong generating set.
 
     Found by the search of quandles.search on the adjacency relation,
-    with vertices pruned by degree and neighbor-degree multiset; the
-    stabilizer chain is read off the search's base, and no element is
-    listed.
+    with vertices pruned by degree and neighbor-degree multiset, within
+    its default node budget; the stabilizer chain is read off the
+    search's base, and no element is listed.
     """
-    n = g.vertex_count
-    if n > vertex_cap:
-        raise ResourceLimitError(
-            f"graph has {n} vertices, above the automorphism cap {vertex_cap}; "
-            "raise vertex_cap to search further"
-        )
-    base, gens = automorphism_generators(_structure(g))
-    return PermGroup._from_base(n, base, gens)
+    base, gens = automorphism_generators(graph_structure(_adjacency_masks(g), _vertex_profiles(g)))
+    return PermGroup._from_base(g.vertex_count, base, gens)
 
 
-def is_vertex_transitive(g: SimpleGraph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> bool:
+def is_vertex_transitive(g: SimpleGraph) -> bool:
     """True iff the automorphism group has a single vertex orbit."""
     if g.vertex_count < 1:
         raise InputError("vertex-transitivity needs at least one vertex")
-    return graph_automorphisms(g, vertex_cap=vertex_cap).is_transitive()
-
-
-def find_graph_isomorphism(g1: SimpleGraph, g2: SimpleGraph, *, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Permutation | None:
-    """A vertex bijection carrying edges exactly onto edges, or None."""
-    n = g1.vertex_count
-    if g2.vertex_count != n:
-        return None
-    if len(g1.edges) != len(g2.edges):
-        return None
-    if n > vertex_cap:
-        raise ResourceLimitError(
-            f"graphs have {n} vertices, above the isomorphism cap {vertex_cap}; "
-            "raise vertex_cap to search further"
-        )
-    images = next(isomorphisms(_structure(g1), _structure(g2)), None)
-    return None if images is None else Permutation(images)
+    return graph_automorphisms(g).is_transitive()
 
 
 def empty(n: int) -> SimpleGraph:

@@ -59,10 +59,6 @@ class Permutation(Record):
     def __lt__(self, other):
         return self.images < other.images if other.__class__ is self.__class__ else NotImplemented
 
-    @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
-
     @property
     def degree(self) -> int:
         return len(self.images)
@@ -79,16 +75,6 @@ class Permutation(Record):
         return Permutation(_compose(self.images, other.images))
 
     __mul__ = compose
-
-    def inverse(self) -> "Permutation":
-        return Permutation(_inverse(self.images))
-
-    def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.images))
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Sorted lengths of the cycles, fixed points included."""
-        return _cycle_type(self.images)
 
 
 def _cycle_type(images) -> tuple[int, ...]:

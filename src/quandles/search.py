@@ -20,7 +20,8 @@ The candidate images of every unassigned point are kept as a bitmask
 and narrowed at each assignment.  The search branches on the unassigned
 point with the fewest candidates, ties going to the lowest index, and
 keeps its own stack, so its depth is bounded by memory and not by the
-recursion limit.  Each tried assignment is one node of the node budget.
+recursion limit.  Each tried assignment is one node of the node budget,
+the one limit of every search: exceeding it raises ResourceLimitError.
 
 Automorphisms come back as a base and a strong generating set for it,
 found with automorphism pruning in the manner of McKay and Piperno
@@ -36,6 +37,8 @@ from .permgroup import _cycle_type, _find, _unite
 
 # Colours are below 8: three bits for a quandle, one for a graph.
 PALETTE = 8
+
+DEFAULT_NODE_BUDGET = 10**5
 
 
 class Structure:
@@ -97,6 +100,8 @@ class _Search:
         self.n = s1.size
         self.colours = s1.colours
         self.tables = (s1.table, s2.table)
+        # columns[x][a] = table[a][x], on each side.
+        self.columns = tuple(None if t is None else tuple(zip(*t)) for t in self.tables)
         self.node_budget = node_budget
         self.nodes = 0
         # masks[y][c]: the points b with colours[y][b] == c on the s2 side.
@@ -117,7 +122,7 @@ class _Search:
 
     def node(self):
         self.nodes += 1
-        if self.node_budget is not None and self.nodes > self.node_budget:
+        if self.nodes > self.node_budget:
             raise ResourceLimitError(
                 f"isomorphism search exhausted its node budget ({self.node_budget}); "
                 "raise node_budget (QUANDLES_NODE_BUDGET on the command line) to search further"
@@ -126,8 +131,9 @@ class _Search:
     def extend(self, img, dom, x, y) -> bool:
         """Assign x -> y and everything it forces, narrowing the candidates
         of the other points; False on a contradiction."""
-        n, colours, masks = self.n, self.colours, self.masks
+        colours, masks = self.colours, self.masks
         t1, t2 = self.tables
+        u1, u2 = self.columns
         pending = [(x, y)]
         while pending:
             x, y = pending.pop()
@@ -139,21 +145,29 @@ class _Search:
                 return False
             img[x] = y
             cx, my, keep = colours[x], masks[y], ~(1 << y)
-            for a in range(n):
-                if img[a] < 0:
+            if t1 is not None:
+                r1, r2, k1, k2 = t1[x], t2[y], u1[x], u2[y]
+            # One pass: narrow each unassigned point; at each assigned a,
+            # the images of table[x][a] and table[a][x] are forced.
+            for a, b in enumerate(img):
+                if b < 0:
                     d = dom[a] & my[cx[a]] & keep
                     if not d:
                         return False
                     dom[a] = d
-            if t1 is not None:
-                r1, r2 = t1[x], t2[y]
-                for a, b in enumerate(img):
-                    if b >= 0:
-                        for c, z in ((r1[a], r2[b]), (t1[a][x], t2[b][y])):
-                            if img[c] != z:
-                                if img[c] >= 0:
-                                    return False
-                                pending.append((c, z))
+                elif t1 is not None:
+                    c, z = r1[a], r2[b]
+                    w = img[c]
+                    if w != z:
+                        if w >= 0:
+                            return False
+                        pending.append((c, z))
+                    c, z = k1[a], k2[b]
+                    w = img[c]
+                    if w != z:
+                        if w >= 0:
+                            return False
+                        pending.append((c, z))
         return True
 
     def completions(self, img, dom):
@@ -180,20 +194,17 @@ class _Search:
                     stack.append((nxt, child_dom[nxt], child_img, child_dom))
 
 
-def isomorphisms(s1: Structure, s2: Structure, node_budget=None):
+def isomorphisms(s1: Structure, s2: Structure, node_budget=DEFAULT_NODE_BUDGET):
     """Yield every isomorphism s1 -> s2 as an image tuple; none, with no
-    search, when the multisets of point invariants differ.
-
-    node_budget None means no limit; otherwise exceeding it raises
-    ResourceLimitError.
-    """
+    search, when the multisets of point invariants differ.  Exceeding
+    node_budget raises ResourceLimitError."""
     if sorted(s1.invariants) != sorted(s2.invariants):
         return
     search = _Search(s1, s2, node_budget)
     yield from search.completions(*search.start())
 
 
-def automorphism_generators(s: Structure, node_budget=None) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+def automorphism_generators(s: Structure, node_budget=DEFAULT_NODE_BUDGET) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """A base of Aut(s) and a strong generating set for it, as
     (base points, generators as image tuples).
 

@@ -446,3 +446,62 @@ def conjugate(perm, sigma):
     for x, y in enumerate(sigma):
         inv[y] = x
     return tuple(sigma[perm[inv[i]]] for i in range(len(sigma)))
+
+
+def nx_graph(g):
+    """A SimpleGraph as a networkx graph on the same vertices."""
+    import networkx as nx
+
+    h = nx.Graph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from(g.edges)
+    return h
+
+
+def _nx_marked(h, points):
+    """A copy of the networkx graph h in which points[i] has mark i + 1
+    and every other vertex mark 0."""
+    import networkx as nx
+
+    a = h.copy()
+    nx.set_node_attributes(a, 0, "mark")
+    for i, v in enumerate(points, 1):
+        a.nodes[v]["mark"] = i
+    return a
+
+
+def nx_vertex_transitive(g):
+    """Some automorphism maps vertex 0 to each vertex, by VF2++ on copies
+    with the two vertices marked."""
+    import networkx as nx
+
+    h = nx_graph(g)
+    a = _nx_marked(h, [0])
+    return all(
+        nx.vf2pp_is_isomorphic(a, _nx_marked(h, [v]), node_label="mark")
+        for v in range(g.vertex_count)
+    )
+
+
+def nx_automorphism_order(g):
+    """|Aut(g)| as the product of the orbit lengths along a chain of point
+    stabilizers.  Each step takes the least vertex b not yet fixed and
+    counts the vertices that some automorphism fixing the earlier base
+    points maps b to, by VF2++ on copies with those points marked; the
+    chain ends when only the identity fixes the base."""
+    import networkx as nx
+
+    h = nx_graph(g)
+    fixed, order = [], 1
+    while True:
+        a = _nx_marked(h, fixed)
+        if sum(1 for _ in itertools.islice(nx.vf2pp_all_isomorphisms(a, a, node_label="mark"), 2)) == 1:
+            return order
+        b = min(set(range(g.vertex_count)) - set(fixed))
+        src = _nx_marked(h, fixed + [b])
+        order *= sum(
+            nx.vf2pp_is_isomorphic(src, _nx_marked(h, fixed + [v]), node_label="mark")
+            for v in range(g.vertex_count)
+            if v not in fixed
+        )
+        fixed.append(b)

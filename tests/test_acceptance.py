@@ -32,9 +32,8 @@ from quandles import (
     verify_axioms,
 )
 from quandles.cli import main as cli_main
-from quandles.graphs import find_graph_isomorphism
 
-from helpers import gf2_rank, group_elements, naive_quandle_classes, petersen_edges, random_edge_set
+from helpers import gf2_rank, group_elements, naive_quandle_classes, nx_graph, petersen_edges, random_edge_set
 
 
 @contextmanager
@@ -68,6 +67,8 @@ def _involutive(q):
 
 
 def test_criterion_1_octahedron_from_oriented_planes(tmp_path, capsys):
+    import networkx as nx
+
     with criterion(1, "octahedron reconstruction", seconds=1.0):
         qpath = tmp_path / "a24.json"
         qpath.write_text(json.dumps(quandle_to_dict(aknn(2, 4))))
@@ -77,7 +78,7 @@ def test_criterion_1_octahedron_from_oriented_planes(tmp_path, capsys):
         assert graph.vertex_count == 6
         assert len(graph.edges) == 12
         octahedron = graphs.johnson(4, 2)
-        assert find_graph_isomorphism(graph, octahedron) is not None
+        assert nx.is_isomorphic(nx_graph(graph), nx_graph(octahedron))
         # vertex 0 is the {1,2} component and vertex 5 the {3,4} component
         assert graph.adjacency(0, 5) == 0
 
@@ -124,22 +125,22 @@ def test_criterion_3_homogeneity_matches_vertex_transitivity():
             t0 = time.perf_counter()
             expected = graphs.is_vertex_transitive(g)
             q = from_graph(g)
-            aut = automorphism_group(q)  # generators; <= 16 points
+            aut = automorphism_group(q)
             assert aut.is_transitive() == expected, name
             assert time.perf_counter() - t0 < 10.0, name
         assert all(graphs.is_vertex_transitive(g) for _, g in transitive)
         assert not any(graphs.is_vertex_transitive(g) for _, g in intransitive)
 
-        # Petersen graph: its quandle has 20 points, past the automorphism
-        # cap, so transitivity of its automorphism group is witnessed
-        # constructively instead: lifts (v,a) -> (phi(v),a) of graph
-        # automorphisms reach every fiber from (0,0), and single-fiber flips
-        # move within a fiber.  Each witness is verified to be a bijective
-        # homomorphism.
+        # Petersen graph: its quandle has 20 points.  Besides the search,
+        # transitivity of its automorphism group is witnessed
+        # constructively: lifts (v,a) -> (phi(v),a) of graph automorphisms
+        # reach every fiber from (0,0), and single-fiber flips move within a
+        # fiber.  Each witness is verified to be a bijective homomorphism.
         t0 = time.perf_counter()
         pet = SimpleGraph(10, petersen_edges())
         assert graphs.is_vertex_transitive(pet)
         q = from_graph(pet)
+        assert automorphism_group(q).is_transitive()
         autos = sorted(group_elements(graphs.graph_automorphisms(pet)))
         reached = set()
         for w in range(10):
@@ -153,7 +154,7 @@ def test_criterion_3_homogeneity_matches_vertex_transitivity():
                         images[2 * 0],
                     )
                 witness = PointMap(20, 20, tuple(images))
-                assert witness.is_bijective()
+                assert sorted(images) == list(range(20))
                 assert is_homomorphism(witness, q, q)
                 reached.add(witness(0))
         assert reached == set(range(20))
@@ -192,11 +193,11 @@ def test_criterion_6_isomorphism_chain():
             pl = aknn(1, n)
             for a, b in ((qg, ax), (ax, pl)):
                 f = find_isomorphism(a, b)
-                assert f is not None and f.is_bijective()
+                assert f is not None and sorted(f.images) == list(range(a.size))
                 assert is_homomorphism(f, a, b)
         qpd = from_graph(graphs.parity_difference(4, 2))
         f = find_isomorphism(qpd, aknn(2, 4))
-        assert f is not None and f.is_bijective()
+        assert f is not None and sorted(f.images) == list(range(qpd.size))
         assert is_homomorphism(f, qpd, aknn(2, 4))
 
 
@@ -254,6 +255,5 @@ def test_criterion_9_graph_round_trip():
             assert min(g.degree(v) for v in range(n)) >= 1
             back, relabeling = to_graph(from_graph(g))
             assert back == g
-            assert find_graph_isomorphism(back, g) is not None
             assert is_homomorphism(relabeling, from_graph(g), from_graph(back))
             done += 1

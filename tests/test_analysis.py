@@ -37,7 +37,7 @@ from quandles import (
     trivial,
 )
 from quandles.core import _first_tables
-from quandles.graphs import find_graph_isomorphism
+from quandles.search import DEFAULT_NODE_BUDGET
 
 from helpers import (
     closure_by_products,
@@ -47,6 +47,8 @@ from helpers import (
     gf2_rank,
     group_elements,
     labelled_products,
+    nx_automorphism_order,
+    nx_vertex_transitive,
     orbit_partition,
     quandle_automorphisms,
     random_edge_set,
@@ -145,7 +147,7 @@ def test_every_row_is_an_automorphism():
     for q in small_suite(rng):
         for x in range(q.size):
             f = PointMap(q.size, q.size, q.table[x])
-            assert is_homomorphism(f, q, q) and f.is_bijective()
+            assert is_homomorphism(f, q, q) and sorted(f.images) == list(range(q.size))
 
 
 # ------------------------------------------------------------- automorphisms
@@ -258,12 +260,47 @@ def test_relabeling_keeps_the_automorphism_order_and_orbit_count(pair):
     assert len(aut.orbits()) == len(aut_relabeled.orbits())
 
 
-def test_automorphism_caps():
-    with pytest.raises(ResourceLimitError, match="point_cap"):
-        automorphism_group(trivial(17))
-    # No element is listed, so a large group is no reason to refuse.
+def test_large_automorphism_groups_are_not_refused():
+    # No element is listed and no point cap applies: the node budget is
+    # the one limit of the search.
     assert automorphism_group(trivial(8)).order() == math.factorial(8)
+    assert automorphism_group(trivial(17)).order() == math.factorial(17)
     assert characterize(trivial(12)).homogeneous is True
+    assert automorphism_group(from_graph(graphs.cycle(20))).order() == 2**20 * 40
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [graphs.parity_difference(6, 3), graphs.cycle(30), graphs.johnson(7, 3)],
+    ids=["parity_difference6_3", "cycle30", "johnson7_3"],
+)
+def test_paper_theorem_on_relabeled_graph_quandles_above_sixteen_points(graph):
+    # The graph quandle is homogeneous exactly when its graph is
+    # vertex-transitive, and |Aut(Q_G)| = 2^n |Aut(G)| for a graph with no
+    # isolated vertex.  parity_difference(6, 3) gives aknn(3, 6), 40 points.
+    n = graph.vertex_count
+    sigma = random.Random(n).sample(range(2 * n), 2 * n)
+    q = FiniteQuandle(relabeled_table(from_graph(graph).table, sigma))
+    verdict = characterize(q)
+    assert verdict.homogeneous == verdict.graph_vertex_transitive == nx_vertex_transitive(graph)
+    aut = automorphism_group(q)
+    order = aut.order()
+    assert order == sympy_order(q.size, [p.images for p in aut.generators])
+    assert order == 2**n * nx_automorphism_order(graph)
+
+
+def test_the_node_budget_is_the_one_refusal():
+    with pytest.raises(ResourceLimitError, match="node_budget"):
+        automorphism_group(aknn(4, 9), node_budget=1000)
+
+
+def test_every_class_up_to_order_7_is_searched_within_the_default_budget():
+    # The census's find_isomorphism calls run under the default budget in
+    # test_census_at_order_seven.
+    assert DEFAULT_NODE_BUDGET == 10**5
+    for n in range(1, 8):
+        for rows in _first_tables(n):
+            automorphism_group(FiniteQuandle(rows))
 
 
 def is_permutation(value):
@@ -305,11 +342,9 @@ def test_normality_of_symmetries_under_automorphisms():
     for q in small_suite(rng):
         if q.size > 10:
             continue
-        rows = [q.symmetry(x) for x in range(q.size)]
-        for f in map(Permutation, group_elements(automorphism_group(q))):
-            f_inv = f.inverse()
+        for f in group_elements(automorphism_group(q)):
             for y in range(q.size):
-                assert f.compose(rows[y]).compose(f_inv) == rows[f(y)]
+                assert conjugate(q.table[y], f) == q.table[f[y]]
 
 
 def test_automorphisms_permute_components():
@@ -371,7 +406,7 @@ def test_dihedral_reports():
     r3 = property_report(dihedral(3))
     assert r3.connected and r3.homogeneous and not r3.abelian_inn
     x, y = r3.witnesses["abelian_inn"]
-    sx, sy = dihedral(3).symmetry(x), dihedral(3).symmetry(y)
+    sx, sy = (Permutation(dihedral(3).table[z]) for z in (x, y))
     assert sx.compose(sy) != sy.compose(sx)
 
 
@@ -401,9 +436,11 @@ def test_report_consistency_and_json():
     }
 
 
-def test_homogeneity_unknown_above_cap():
-    report = property_report(trivial(17))
+def test_homogeneity_unknown_when_the_node_budget_runs_out():
+    assert property_report(trivial(17)).homogeneous is True
+    report = property_report(trivial(17), node_budget=10)
     assert report.homogeneous is None
+    assert "homogeneous" not in report.witnesses
     assert report.connected is False and report.flat
 
 
@@ -423,9 +460,8 @@ def test_noninvolutive_witness():
 def test_octahedron_reconstruction():
     graph, relabeling = to_graph(aknn(2, 4))
     assert graph == graphs.johnson(4, 2)
-    assert find_graph_isomorphism(graph, graphs.johnson(4, 2)) is not None
     rebuilt = from_graph(graph)
-    assert relabeling.is_bijective()
+    assert sorted(relabeling.images) == list(range(12))
     assert is_homomorphism(relabeling, aknn(2, 4), rebuilt)
 
 
@@ -450,7 +486,6 @@ def test_round_trip_on_random_graphs_with_no_isolated_vertices():
         g = SimpleGraph(n, set(edges))
         back, relabeling = to_graph(from_graph(g))
         assert back == g
-        assert find_graph_isomorphism(back, g) is not None
         done += 1
 
 

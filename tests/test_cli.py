@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from quandles import dihedral, from_graph, graphs, quandle_to_dict, trivial
+from quandles import aknn, dihedral, from_graph, graphs, quandle_to_dict, trivial
 from quandles.cli import main
 
 
@@ -151,12 +151,22 @@ def test_check_unknown_property(capsys, tmp_path):
     assert code == 2
 
 
-def test_check_undecidable_homogeneity_is_a_usage_error(capsys, tmp_path):
-    # 17 points is past the automorphism cap: the flag is unknown, not false
-    path = write_json(tmp_path, "t17.json", quandle_to_dict(trivial(17)))
+def test_check_decides_homogeneity_above_sixteen_points(capsys, tmp_path):
+    path = write_json(tmp_path, "a36.json", quandle_to_dict(aknn(3, 6)))
+    code, out, _ = run(capsys, "check", path, "--props", "homogeneous")
+    assert code == 0
+    assert "homogeneous: yes" in out
+
+
+def test_check_undecidable_homogeneity_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # The Aut search of the 40-point aknn(3,6) takes a few hundred nodes:
+    # with a budget of 50 the flag is unknown, not false.
+    monkeypatch.setenv("QUANDLES_NODE_BUDGET", "50")
+    path = write_json(tmp_path, "a36.json", quandle_to_dict(aknn(3, 6)))
     code, out, err = run(capsys, "check", path, "--props", "homogeneous")
     assert code == 2
     assert "homogeneous: unknown" in out
+    assert "budget" in err
     code, _, _ = run(capsys, "check", path, "--props", "flat")
     assert code == 0
 

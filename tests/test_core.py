@@ -276,9 +276,14 @@ def test_axiom_reports_match_the_oracle_on_generated_tables(rows):
 
 # ---------------------------------------------------------- homomorphisms
 
+def bijective(f):
+    """f maps its points one to one onto a set of the same size."""
+    return f.domain_size == f.codomain_size and sorted(f.images) == list(range(f.codomain_size))
+
+
 def test_identity_is_homomorphism():
     d3 = dihedral(3)
-    assert is_homomorphism(PointMap.identity(3), d3, d3)
+    assert is_homomorphism(PointMap(3, 3, range(3)), d3, d3)
 
 
 def test_constant_maps_into_trivial_are_homomorphisms():
@@ -295,7 +300,7 @@ def test_sign_change_map_from_complete_graph_quandle_to_axes():
         ax = axis_quandle(n)
         f = PointMap(2 * n, 2 * n, tuple(2 * i + a for i in range(n) for a in (0, 1)))
         assert is_homomorphism(f, qg, ax)
-        assert f.is_bijective()
+        assert bijective(f)
 
 
 def test_homomorphism_size_mismatch():
@@ -308,14 +313,14 @@ def test_homomorphism_size_mismatch():
 def test_self_isomorphism_found():
     q = dihedral(5)
     f = find_isomorphism(q, q)
-    assert f is not None and f.is_bijective()
+    assert f is not None and bijective(f)
     assert is_homomorphism(f, q, q)
 
 
 def test_complete2_quandle_is_dihedral4():
     qk2 = from_graph(graphs.complete(2))
     f = find_isomorphism(qk2, dihedral(4))
-    assert f is not None and f.is_bijective()
+    assert f is not None and bijective(f)
     assert is_homomorphism(f, qk2, dihedral(4))
 
 
@@ -349,7 +354,7 @@ def test_isomorphism_search_goes_deeper_than_the_recursion_limit():
     n = sys.getrecursionlimit() + 100
     q = FiniteQuandle([range(n)] * n, unchecked=True)
     f = find_isomorphism(q, q)
-    assert f is not None and f.is_bijective()
+    assert f is not None and bijective(f)
     assert is_homomorphism(f, q, q)
 
 
@@ -633,5 +638,5 @@ def test_random_relabelings_stay_isomorphic():
         other = FiniteQuandle(table)
         f = find_isomorphism(base, other)
         assert f is not None
-        assert is_homomorphism(f, base, other) and f.is_bijective()
+        assert is_homomorphism(f, base, other) and bijective(f)
         assert canonical_table(base) == canonical_table(other)

@@ -1,15 +1,13 @@
-import itertools
 import math
 import random
 
 import pytest
 
-from quandles import InputError, ResourceLimitError, SimpleGraph
+from quandles import InputError, SimpleGraph, find_isomorphism, from_graph, is_homomorphism
 from quandles.graphs import (
     complete,
     cycle,
     empty,
-    find_graph_isomorphism,
     graph_automorphisms,
     graph_from_dict,
     graph_to_dict,
@@ -21,7 +19,15 @@ from quandles.graphs import (
     to_dot,
 )
 
-from helpers import group_elements, petersen_edges, random_edge_set, sympy_order
+from helpers import (
+    group_elements,
+    nx_automorphism_order,
+    nx_graph,
+    nx_vertex_transitive,
+    petersen_edges,
+    random_edge_set,
+    sympy_order,
+)
 
 
 def test_adjacency_basics():
@@ -116,9 +122,10 @@ def test_petersen_automorphism_count():
     assert graph_automorphisms(g).order() == 120
 
 
-def test_vertex_cap():
-    with pytest.raises(ResourceLimitError):
-        graph_automorphisms(empty(13))
+def test_automorphisms_of_graphs_above_twelve_vertices():
+    # No vertex cap: the node budget is the one limit, and no element is listed.
+    assert graph_automorphisms(empty(13)).order() == math.factorial(13)
+    assert graph_automorphisms(cycle(20)).order() == 40
 
 
 def test_vertex_transitivity():
@@ -140,42 +147,6 @@ def test_vertex_transitive_implies_regular():
 
 
 # ------------------------------------------------------- networkx oracle
-
-COUNT_LIMIT = 6000
-
-
-def nx_graph(g):
-    import networkx as nx
-
-    h = nx.Graph()
-    h.add_nodes_from(range(g.vertex_count))
-    h.add_edges_from(g.edges)
-    return h
-
-
-def nx_automorphism_count(g):
-    """|Aut(g)| by VF2, or None when it exceeds COUNT_LIMIT."""
-    from networkx.algorithms.isomorphism import GraphMatcher
-
-    h = nx_graph(g)
-    count = sum(1 for _ in itertools.islice(GraphMatcher(h, h).isomorphisms_iter(), COUNT_LIMIT + 1))
-    return None if count > COUNT_LIMIT else count
-
-
-def nx_vertex_transitive(g):
-    """Some automorphism maps vertex 0 to each vertex, by VF2 on copies
-    with the two vertices marked."""
-    from networkx.algorithms.isomorphism import GraphMatcher
-
-    h = nx_graph(g)
-    for v in range(g.vertex_count):
-        a, b = h.copy(), h.copy()
-        a.nodes[0]["mark"] = b.nodes[v]["mark"] = True
-        same = lambda x, y: x.get("mark", False) == y.get("mark", False)
-        if not GraphMatcher(a, b, node_match=same).is_isomorphic():
-            return False
-    return True
-
 
 def relabeled(g, sigma):
     return SimpleGraph(g.vertex_count, [(sigma[u], sigma[v]) for u, v in g.edges])
@@ -207,12 +178,18 @@ def test_automorphisms_match_networkx():
         # The chain is read off the search's base: its order must be that
         # of the group the generators generate.
         assert aut.order() == sympy_order(g.vertex_count, [p.images for p in aut.generators])
-        count = nx_automorphism_count(g)
-        if count is None:
-            assert aut.order() > COUNT_LIMIT
-        else:
-            assert aut.order() == count, g.edge_list()
+        assert aut.order() == nx_automorphism_order(g), g.edge_list()
         assert is_vertex_transitive(g) == nx_vertex_transitive(g), g.edge_list()
+
+
+# Two graphs are isomorphic exactly when their graph quandles are: a
+# quandle isomorphism maps the fiber {2v, 2v+1} of each vertex with a
+# neighbor onto a fiber, and the points of isolated vertices are the ones
+# whose rows are the identity.
+
+def fiber_images(f, vertices):
+    """The vertices whose fibers f maps the given vertices' fibers onto."""
+    return [f(2 * v) // 2 for v in vertices]
 
 
 def test_isomorphism_verdicts_match_networkx():
@@ -230,10 +207,12 @@ def test_isomorphism_verdicts_match_networkx():
             edges.add(rng.choice(missing))
             others.append(relabeled(SimpleGraph(n, edges), rng.sample(range(n), n)))
         for h in others:
-            p = find_graph_isomorphism(g, h)
-            assert (p is not None) == nx.is_isomorphic(nx_graph(g), nx_graph(h)), (g.edge_list(), h.edge_list())
-            if p is not None:
-                assert {tuple(sorted((p(u), p(v)))) for u, v in g.edges} == set(h.edges)
+            qg, qh = from_graph(g), from_graph(h)
+            f = find_isomorphism(qg, qh)
+            assert (f is not None) == nx.is_isomorphic(nx_graph(g), nx_graph(h)), (g.edge_list(), h.edge_list())
+            if f is not None:
+                assert is_homomorphism(f, qg, qh)
+                assert {tuple(sorted(fiber_images(f, e))) for e in g.edges} == set(h.edges)
 
 
 # -------------------------------------------------------------- isomorphism
@@ -241,16 +220,17 @@ def test_isomorphism_verdicts_match_networkx():
 def test_graph_isomorphism_found_for_relabeled_cycle():
     g1 = cycle(5)
     g2 = SimpleGraph(5, [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)])
-    p = find_graph_isomorphism(g1, g2)
-    assert p is not None
+    f = find_isomorphism(from_graph(g1), from_graph(g2))
+    assert f is not None
+    p = fiber_images(f, range(5))
     for v in range(5):
         for w in range(5):
-            assert g1.adjacency(v, w) == g2.adjacency(p(v), p(w))
+            assert g1.adjacency(v, w) == g2.adjacency(p[v], p[w])
 
 
 def test_graph_isomorphism_none_for_different_graphs():
-    assert find_graph_isomorphism(cycle(5), path(5)) is None
-    assert find_graph_isomorphism(path(3), star(3)) is not None
+    assert find_isomorphism(from_graph(cycle(5)), from_graph(path(5))) is None
+    assert find_isomorphism(from_graph(path(3)), from_graph(star(3))) is not None
 
 
 # ------------------------------------------------------------ serialization

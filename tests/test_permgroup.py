@@ -5,9 +5,9 @@ import pytest
 
 from quandles import InputError, PermGroup, Permutation
 from quandles import dihedral, direct_product, from_graph, graphs, inner_group, trivial
-from quandles.permgroup import _noncommuting_pair
+from quandles.permgroup import _cycle_type, _inverse, _noncommuting_pair
 
-from helpers import closure_by_products, first_noncommuting_rows
+from helpers import closure_by_products, cycle_type, first_noncommuting_rows
 
 
 def rows_of(q):
@@ -15,14 +15,14 @@ def rows_of(q):
 
 
 def test_compose_with_identity():
-    p = Permutation((2, 0, 1))
-    assert p.compose(Permutation.identity(3)) == p
-    assert Permutation.identity(3).compose(p) == p
+    p, e = Permutation((2, 0, 1)), Permutation(range(3))
+    assert p.compose(e) == p
+    assert e.compose(p) == p
 
 
 def test_transposition_squares_to_identity():
     t = Permutation((1, 0, 2))
-    assert t.compose(t).is_identity()
+    assert t.compose(t).images == (0, 1, 2)
 
 
 def test_composition_of_dihedral3_reflections():
@@ -43,10 +43,17 @@ def test_validation_errors():
 
 
 def test_inverse_and_cycle_type():
-    p = Permutation((1, 2, 0, 4, 3))
-    assert p.compose(p.inverse()).is_identity()
-    assert p.cycle_type() == (2, 3)
-    assert Permutation.identity(4).cycle_type() == (1, 1, 1, 1)
+    p = (1, 2, 0, 4, 3)
+    assert Permutation(p).compose(Permutation(_inverse(p))).images == tuple(range(5))
+    assert _cycle_type(p) == (2, 3)
+    assert _cycle_type(tuple(range(4))) == (1, 1, 1, 1)
+    rng = random.Random(29)
+    for n in range(0, 12):
+        for _ in range(10):
+            images = tuple(rng.sample(range(n), n))
+            inv = _inverse(images)
+            assert all(inv[images[x]] == x for x in range(n))
+            assert _cycle_type(images) == cycle_type(images)
 
 
 @pytest.mark.parametrize(
