@@ -13,7 +13,6 @@ from .core import (
     PointMap,
     _first_tables,
     canonical_table,
-    find_isomorphism,
 )
 from .errors import (
     BadComponentSizeError,
@@ -408,22 +407,22 @@ def _odd_factorizations(n: int):
     yield from rec(n, 3)
 
 
-def _matching_torus(q: FiniteQuandle, node_budget: int) -> tuple[int, ...] | None:
-    for orders in _odd_factorizations(q.size):
-        torus = discrete_torus(orders)
-        if find_isomorphism(q, torus, node_budget=node_budget) is not None:
+def _matching_torus(canonical) -> tuple[int, ...] | None:
+    """The odd factorization whose torus has this canonical table, or None."""
+    for orders in _odd_factorizations(len(canonical)):
+        if canonical_table(discrete_torus(orders)) == canonical:
             return orders
     return None
 
 
-def flat_connected_census(
-    max_order: int = 6, *, node_budget: int = DEFAULT_NODE_BUDGET
-) -> list[OrderCensus]:
+def flat_connected_census(max_order: int = 6) -> list[OrderCensus]:
     """Enumerate all classes up to max_order and keep the flat connected ones.
 
     Every survivor must have odd order and be isomorphic to a direct
     product of odd dihedral quandles; a survivor without such a match
     raises VerificationError, so a clean return is itself the check.
+    The match compares canonical tables, equal exactly for isomorphic
+    quandles, so no isomorphism search runs.
     The tests run on the first table of each class that the enumeration
     visits; only the survivors are brought to their canonical tables,
     and they are listed in the order of those tables, as
@@ -451,12 +450,13 @@ def flat_connected_census(
                 raise VerificationError(
                     f"flat connected quandle of even order {n} found"
                 )
-            orders = _matching_torus(q, node_budget)
+            canonical = canonical_table(q)
+            orders = _matching_torus(canonical)
             if orders is None:
                 raise VerificationError(
                     f"flat connected quandle of order {n} matches no odd torus"
                 )
-            survivors.append(CensusSurvivor(FiniteQuandle(canonical_table(q)), orders))
+            survivors.append(CensusSurvivor(FiniteQuandle(canonical), orders))
         survivors.sort(key=lambda s: s.quandle.table)
         out.append(OrderCensus(n, len(classes), tuple(survivors)))
     return out

@@ -7,8 +7,9 @@ for the recursion limit or memory.  Output for fixed inputs is
 byte-stable: collections are sorted and nothing is timestamped.
 
 QUANDLES_NODE_BUDGET overrides the backtracking-node budget (default
-10^5) of the isomorphism and automorphism searches; it is the only
-environment knob.
+10^5) of the automorphism search of `check`; it is the only environment
+knob.  `census` runs no search (it matches tori by canonical tables) and
+no longer reads it.
 """
 
 from __future__ import annotations
@@ -205,7 +206,7 @@ def cmd_from_graph(args) -> int:
 
 
 def cmd_census(args) -> int:
-    rows = analysis.flat_connected_census(args.max_order, node_budget=_node_budget())
+    rows = analysis.flat_connected_census(args.max_order)
     if args.json:
         print(_dump([
             {

@@ -19,7 +19,7 @@ import itertools
 
 from ._record import Record
 from .errors import AxiomError, InputError
-from .permgroup import _cycle_type, _inverse, _row_kernel
+from .permgroup import _Kernel, _cycle_type, _inverse, _row_kernel
 from .search import DEFAULT_NODE_BUDGET, isomorphisms, quandle_structure
 
 ENUMERATION_CAP = 7
@@ -258,13 +258,15 @@ def _validate_subset(q: FiniteQuandle, subset) -> tuple[int, ...]:
 
 def _is_closed(q: FiniteQuandle, pts) -> bool:
     """True iff the validated points pts are closed under every member
-    symmetry and its inverse."""
+    symmetry and its inverse.  Each symmetry is injective, so one that
+    maps the finite set pts into itself maps it onto itself, and its
+    inverse maps pts into pts too: closure under the symmetries is
+    enough."""
     inside = set(pts)
     for a in pts:
         row = q.table[a]
-        inv = _inverse(row)
         for x in pts:
-            if row[x] not in inside or inv[x] not in inside:
+            if row[x] not in inside:
                 return False
     return True
 
@@ -436,23 +438,12 @@ def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
         raise InputError(f"enumeration is capped at order {ENUMERATION_CAP}, got {n!r}")
 
     points = range(n)
-    all_perms = list(itertools.permutations(points))
-    inv_of = {p: _inverse(p) for p in all_perms}
-    type_key = {p: tuple(-c for c in _cycle_type(p)) for p in all_perms}
-    row_choices = [[p for p in all_perms if p[x] == x] for x in points]
-
-    conj_cache = {}
-
-    def conj(a, b):
-        key = (a, b)
-        r = conj_cache.get(key)
-        if r is None:
-            ai = inv_of[a]
-            r = tuple(a[b[ai[i]]] for i in points)
-            conj_cache[key] = r
-        return r
+    kernel = _Kernel(n)
+    typed = [(tuple(-c for c in _cycle_type(p)), kernel.embed(p)) for p in itertools.permutations(points)]
+    row_choices = [[(key, r) for key, r in typed if r[x] == x] for x in points]
 
     rows: list = [None] * n
+    inv: list = [None] * n  # inv[z] is the inverse of rows[z]
     seen = set()
     found = []
 
@@ -461,6 +452,7 @@ def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
         if cur is not None:
             return cur == perm
         rows[z] = perm
+        inv[z] = kernel.inverse(perm)
         trail.append(z)
         return True
 
@@ -469,23 +461,24 @@ def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
         while qi < len(trail):
             x = trail[qi]
             qi += 1
-            rx = rows[x]
+            rx, ix = rows[x], inv[x]
             for y in points:
                 ry = rows[y]
                 if ry is None:
                     continue
-                if not place(rx[y], conj(rx, ry), trail):
+                if not place(rx[y], ix.translate(ry).translate(rx), trail):
                     return False
-                if not place(ry[x], conj(ry, rx), trail):
+                if not place(ry[x], inv[y].translate(rx).translate(ry), trail):
                     return False
         return True
 
     def emit():
-        t = bytes(itertools.chain.from_iterable(rows))
+        t = b"".join([r[:n] for r in rows])
         if t in seen:
             return
-        seen.update(_orbit_slice(rows, rows[0]))
-        found.append(tuple(rows))
+        table = _unflatten(t, n)
+        seen.update(_orbit_slice(table, table[0]))
+        found.append(table)
 
     def backtrack(k, choices):
         while k < n and rows[k] is not None:
@@ -500,10 +493,10 @@ def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
             while trail:
                 rows[trail.pop()] = None
 
-    for floor in sorted({type_key[p] for p in row_choices[0]}):
-        first = next(p for p in row_choices[0] if type_key[p] == floor)
+    for floor in sorted({key for key, _ in row_choices[0]}):
+        first = next(r for key, r in row_choices[0] if key == floor)
         choices = [[first]] + [
-            [p for p in row_choices[x] if type_key[p] >= floor] for x in points[1:]
+            [r for key, r in row_choices[x] if key >= floor] for x in points[1:]
         ]
         seen.clear()  # a class is reached in one pass only
         backtrack(0, choices)
@@ -516,7 +509,9 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
     Rows are chosen by backtracking over diagonal-fixing permutations.
     Placing rows x and y forces the row at table[x][y] to be the
     conjugate row_x o row_y o row_x^-1, which prunes most of the tree
-    and enforces Q3 exactly.
+    and enforces Q3 exactly.  Rows are kept in the translation-table
+    form of the permutation kernel, with one inverse per placed row, so
+    each conjugate is two byte translates and nothing is cached.
 
     Relabelings are broken at row 0.  Order cycle types by the key
     (-c for c in sorted lengths), which puts the identity's type last.

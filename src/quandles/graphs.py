@@ -89,12 +89,11 @@ def _adjacency_masks(g: SimpleGraph) -> list[int]:
     return masks
 
 
-def _vertex_profiles(g: SimpleGraph) -> list[tuple]:
-    degs = [g.degree(v) for v in range(g.vertex_count)]
-    return [
-        (degs[v], tuple(sorted(degs[w] for w in g.neighbors(v))))
-        for v in range(g.vertex_count)
-    ]
+def _vertex_profiles(masks: list[int]) -> list[tuple]:
+    """(degree, sorted neighbour degrees) of each vertex, off its mask."""
+    degs = [m.bit_count() for m in masks]
+    neighbour_degs = (itertools.compress(degs, map("1".__eq__, reversed(bin(m)))) for m in masks)
+    return [(d, tuple(sorted(nd))) for d, nd in zip(degs, neighbour_degs)]
 
 
 def graph_automorphisms(g: SimpleGraph) -> PermGroup:
@@ -105,7 +104,8 @@ def graph_automorphisms(g: SimpleGraph) -> PermGroup:
     its default node budget; the stabilizer chain is read off the
     search's base, and no element is listed.
     """
-    base, gens = automorphism_generators(graph_structure(_adjacency_masks(g), _vertex_profiles(g)))
+    masks = _adjacency_masks(g)
+    base, gens = automorphism_generators(graph_structure(masks, _vertex_profiles(masks)))
     return PermGroup._from_base(g.vertex_count, base, gens)
 
 

@@ -8,10 +8,11 @@ deterministic Schreier-Sims that resumes instead of restarting (Sims
 and O'Brien, Handbook of Computational Group Theory, 2005, sec. 4.4).  A
 group given as a strong generating set for a known base, as the
 automorphism search returns it, has its chain read off level by level
-with no Schreier generator tested.  Chain elements and the row products
-of the axiom check share one stored form (_kernel), so each product is
-one C call.  Orbits, transitivity and abelianness need only the
-generators.  No element is ever listed.
+with no Schreier generator tested.  Chain elements, the row products of
+the axiom check and the rows of the enumeration share one stored form
+(_Kernel), so each product and each inverse is one C call.  Orbits,
+transitivity and abelianness need only the generators.  No element is
+ever listed.
 """
 
 from __future__ import annotations
@@ -97,23 +98,40 @@ def _cycle_type(images) -> tuple[int, ...]:
 _IDENTITY = bytes(range(256))
 
 
-def _kernel(n):
-    """How permutations of n points are stored for products in C.
+class _Kernel:
+    """How the permutations of one degree are stored, so that each
+    product and inverse is one C call.
 
-    Returns (embed, after, mul).  embed(images) is the stored form of a
-    permutation.  after(b), for b given by its images or stored, is the
-    function taking a stored a to a o b (apply b first), that is a[b[z]]
-    at each z, and mul(a, b) is a o b for stored a and b.  Up to 256
-    points the stored form is the images padded with fixed points to a
-    256-byte translation table, and a o b is b.translate(a).  Above that
-    the stored form is the image tuple, and a o b is an itemgetter over b
-    applied to a.  Two products compare equal exactly when the
-    compositions are equal.
+    embed(images) gives the stored form.  For stored a and b, mul(a, b)
+    is a o b (apply b first) and inverse(a) the inverse; ident is the
+    identity, and after(b), for b stored or given by its images, takes a
+    to the images a[b[z]] of a o b.  Up to 256 points a permutation is
+    its images padded with fixed points to a 256-byte translation table,
+    so a o b is b.translate(a) and the inverse bytes.maketrans(a,
+    identity).  Above that it is its image tuple.  Stored forms are
+    equal exactly when the permutations are.
     """
-    if n <= 256:
-        pad = _IDENTITY[n:]
-        return (lambda r: bytes(r) + pad), (lambda b: bytes(b).translate), (lambda a, b: b.translate(a))
-    return tuple, (lambda b: operator.itemgetter(*b)), (lambda a, b: operator.itemgetter(*b)(a))
+
+    __slots__ = ("degree", "embed", "after", "mul", "inverse", "ident")
+
+    def __init__(self, degree):
+        self.degree = degree
+        if degree <= 256:
+            pad = _IDENTITY[degree:]
+            self.embed = lambda r: bytes(r) + pad
+            self.after = lambda b: bytes(b).translate
+            self.mul = lambda a, b: b.translate(a)
+            self.inverse = lambda a: bytes.maketrans(a, _IDENTITY)
+        else:
+            self.embed = tuple
+            self.after = lambda b: operator.itemgetter(*b)
+            self.mul = lambda a, b: operator.itemgetter(*b)(a)
+            self.inverse = _inverse
+        self.ident = self.embed(range(degree))
+
+    def __reduce__(self):
+        # The functions do not pickle; the degree rebuilds them.
+        return _Kernel, (self.degree,)
 
 
 def _row_kernel(rows):
@@ -122,10 +140,10 @@ def _row_kernel(rows):
     Returns (left, right) such that right[b](left[a]) is the image
     sequence of a o b for any two of the given rows (equal-length
     sequences of points 0..n-1): left holds the rows in the stored form
-    of _kernel and right their after functions.
+    of _Kernel and right their after functions.
     """
-    embed, after, _ = _kernel(len(rows[0]) if rows else 0)
-    return list(map(embed, rows)), list(map(after, rows))
+    kernel = _Kernel(len(rows[0]) if rows else 0)
+    return list(map(kernel.embed, rows)), list(map(kernel.after, rows))
 
 
 def _noncommuting_pair(rows):
@@ -138,32 +156,14 @@ def _noncommuting_pair(rows):
     return None
 
 
-class _Kernel:
-    """Products, inverses and the identity in the stored form of _kernel,
-    for the permutations of one degree."""
-
-    __slots__ = ("degree", "embed", "mul", "ident")
-
-    def __init__(self, degree):
-        self.degree = degree
-        self.embed, _, self.mul = _kernel(degree)
-        self.ident = self.embed(range(degree))
-
-    def __reduce__(self):
-        # The closures do not pickle; the degree rebuilds them.
-        return _Kernel, (self.degree,)
-
-    def inverse(self, a):
-        return self.embed(_inverse(a[: self.degree]))
-
-
 class _Level:
     """One level of a stabilizer chain.
 
     It holds a base point, the strong generators that fix the earlier
     base points (each with its inverse), the orbit of the base point in
-    the order its points were reached, and the transversal {p: (u, u^-1)}
-    with u(point) = p.  tested[k] counts the generators whose Schreier
+    the order its points were reached, and the transversal {p: w_p}: one
+    element per orbit point, the inverse of its coset representative, so
+    w_p(p) = point.  tested[k] counts the generators whose Schreier
     generator at orbit[k] has been tested.  A representative, once
     chosen, is never replaced, so a tested Schreier generator stays the
     same element.
@@ -175,12 +175,12 @@ class _Level:
         self.point = point
         self.gens = []
         self.orbit = [point]
-        self.transversal = {point: (ident, ident)}
+        self.transversal = {point: ident}
         self.tested = [0]
 
     def add(self, new_gens, mul):
         """Append strong generators, given as (s, s^-1), and grow the orbit
-        under all the generators from the points it already has."""
+        under all of them from the points it has: w_{s(p)} = w_p o s^-1."""
         gens, orbit, trans, tested = self.gens, self.orbit, self.transversal, self.tested
         gens.extend(new_gens)
         old = len(orbit)
@@ -188,8 +188,7 @@ class _Level:
             for s, s_inv in new_gens if k < old else gens:
                 q = s[p]
                 if q not in trans:
-                    u, u_inv = trans[p]
-                    trans[q] = (mul(s, u), mul(u_inv, s_inv))
+                    trans[q] = mul(trans[p], s_inv)
                     orbit.append(q)
                     tested.append(0)
 
@@ -202,10 +201,10 @@ def _sift(chain, g, start, kernel):
         level = chain[j]
         p = g[level.point]
         if p != level.point:
-            u = level.transversal.get(p)
-            if u is None:
+            w = level.transversal.get(p)
+            if w is None:
                 return g, j
-            g = mul(u[1], g)
+            g = mul(w, g)
             if g == ident:
                 break
     return g, len(chain)
@@ -222,17 +221,18 @@ def _schreier_sims(kernel, gens) -> list[_Level]:
     (Seress, Permutation Group Algorithms, ch. 4).  It starts from the
     chain that the generators give for a base no generator fixes
     pointwise.  Then, from the deepest level up, every Schreier generator
-    u_{s(p)}^-1 s u_p of a level is sifted through the deeper levels.  A
-    residue that does not sift to the identity becomes a strong generator
-    of every deeper level it fixes the base points of (with a new base
-    point if it fixes them all), and checking moves to the deepest level
-    it was added to.  Each (p, s) pair is tested once: the deeper levels'
-    groups only grow and representatives are never replaced, so a
-    Schreier generator that lay in them still does.  When every pair is
-    tested, each level's strong generators generate the pointwise
-    stabilizer of the earlier base points.
+    w_{s(p)} s w_p^-1 of a level that is not the identity (w_{s(p)} s !=
+    w_p) is sifted through the deeper levels.  A residue that does not
+    sift to the identity becomes a strong generator of every deeper level
+    it fixes the base points of (with a new base point if it fixes them
+    all), and checking moves to the deepest level it was added to.  Each
+    (p, s) pair is tested once: the deeper levels' groups only grow and
+    representatives are never replaced, so a Schreier generator that lay
+    in them still does.  When every pair is tested, each level's strong
+    generators generate the pointwise stabilizer of the earlier base
+    points.
     """
-    mul, ident = kernel.mul, kernel.ident
+    mul, inverse, ident = kernel.mul, kernel.inverse, kernel.ident
     gens = [g for g in gens if g != ident]
     base = []
     for g in gens:
@@ -246,6 +246,7 @@ def _schreier_sims(kernel, gens) -> list[_Level]:
         strong, trans, tested = level.gens, level.transversal, level.tested
         residue = None
         for k, p in enumerate(level.orbit):
+            w_p, u_p = trans[p], None
             while tested[k] < len(strong):
                 s = strong[tested[k]][0]
                 tested[k] += 1
@@ -255,11 +256,12 @@ def _schreier_sims(kernel, gens) -> list[_Level]:
                     # the next level: every generator that fixes a
                     # level's base point was added to the level below.
                     continue
-                su = mul(s, trans[p][0])
-                v, v_inv = trans[q]
-                if su == v:
+                ws = mul(trans[q], s)
+                if ws == w_p:
                     continue
-                h, j = _sift(chain, mul(v_inv, su), i + 1, kernel)
+                if u_p is None:
+                    u_p = inverse(w_p)
+                h, j = _sift(chain, mul(ws, u_p), i + 1, kernel)
                 if j < len(chain) or h != ident:
                     residue = h, j
                     break
@@ -271,7 +273,7 @@ def _schreier_sims(kernel, gens) -> list[_Level]:
         h, j = residue
         if j == len(chain):
             chain.append(_Level(_first_moved(h, ident), ident))
-        pair = [(h, kernel.inverse(h))]
+        pair = [(h, inverse(h))]
         for deeper in chain[i + 1 : j + 1]:
             deeper.add(pair, mul)
         i = j

@@ -295,8 +295,9 @@ def test_the_node_budget_is_the_one_refusal():
 
 
 def test_every_class_up_to_order_7_is_searched_within_the_default_budget():
-    # The census's find_isomorphism calls run under the default budget in
-    # test_census_at_order_seven.
+    # The census runs no search (it matches tori by canonical tables);
+    # this checks that the Aut search of every class fits the default
+    # budget.
     assert DEFAULT_NODE_BUDGET == 10**5
     for n in range(1, 8):
         for rows in _first_tables(n):

@@ -375,6 +375,26 @@ def test_adjacent_pair_of_dihedral3_is_not_closed():
     assert not is_subquandle(dihedral(3), {0, 1})
 
 
+def test_subquandles_match_the_two_sided_definition():
+    # is_subquandle tests closure under the symmetries only; a subset is
+    # a subquandle when it is closed under each member symmetry and its
+    # inverse, checked here with the inverse read off the row.
+    verdicts = collections.Counter()
+    for n in range(1, 6):
+        for q in enumerate_quandles(n):
+            for size in range(1, n + 1):
+                for subset in itertools.combinations(range(n), size):
+                    inside = set(subset)
+                    closed = all(
+                        q.table[a][x] in inside and q.table[a].index(x) in inside
+                        for a in subset
+                        for x in subset
+                    )
+                    assert is_subquandle(q, subset) == closed, (q.table, subset)
+                    verdicts[closed] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def test_empty_subset_is_an_error():
     with pytest.raises(InputError):
         is_subquandle(dihedral(3), set())

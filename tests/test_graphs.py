@@ -18,6 +18,7 @@ from quandles.graphs import (
     star,
     to_dot,
 )
+from quandles.graphs import _adjacency_masks, _vertex_profiles
 
 from helpers import (
     group_elements,
@@ -169,6 +170,18 @@ def random_graphs(seed):
         g = SimpleGraph(n, random_edge_set(rng, n, p=rng.choice([0.2, 0.5, 0.8])))
         out.append(relabeled(g, rng.sample(range(n), n)))
     return out
+
+
+def test_vertex_profiles_match_networkx():
+    rng = random.Random(41)
+    cases = [SimpleGraph(n, random_edge_set(rng, n, p)) for n, p in ((1, 0.5), (9, 0.5), (40, 0.3), (70, 0.1))]
+    for g in cases + [empty(4), star(6), johnson(5, 2)]:
+        h = nx_graph(g)
+        expected = [
+            (h.degree(v), tuple(sorted(h.degree(w) for w in h.neighbors(v))))
+            for v in range(g.vertex_count)
+        ]
+        assert _vertex_profiles(_adjacency_masks(g)) == expected
 
 
 def test_automorphisms_match_networkx():

@@ -1,11 +1,13 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
 from quandles import InputError, PermGroup, Permutation
 from quandles import dihedral, direct_product, from_graph, graphs, inner_group, trivial
-from quandles.permgroup import _cycle_type, _inverse, _noncommuting_pair
+from quandles.permgroup import _Kernel, _cycle_type, _inverse, _noncommuting_pair
 
 from helpers import closure_by_products, cycle_type, first_noncommuting_rows
 
@@ -187,6 +189,58 @@ def test_order_and_membership_match_sympy():
     assert resumed >= 3
     assert Permutation((1, 0)) not in PermGroup(3)
     assert (1, 0, 2) not in PermGroup(3, [(1, 0, 2)])
+
+
+# 256 points and fewer take the bytes encoding, more the tuple one.
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 300])
+def test_kernel_inverse_matches_the_tuple_inverse(n):
+    kernel = _Kernel(n)
+    rng = random.Random(n)
+    for images in (tuple(range(n)), tuple(range(1, n)) + (0,), tuple(rng.sample(range(n), n))):
+        a = kernel.embed(images)
+        inv = kernel.inverse(a)
+        assert type(inv) is (bytes if n <= 256 else tuple)
+        assert inv == kernel.embed(_inverse(images))
+        assert kernel.mul(a, inv) == kernel.mul(inv, a) == kernel.ident
+
+
+def chain_groups():
+    """Groups whose chains come from Schreier-Sims and from a known base,
+    on both encodings."""
+    rng = random.Random(79)
+    out = [PermGroup(*symmetric_from_two(9)), PermGroup(*large_generator_sets(rng)[1])]
+    for degree in (12, 258):
+        shift = tuple((x + 2) % degree for x in range(degree))
+        swap = tuple(x ^ 1 for x in range(degree))
+        out.append(PermGroup._from_base(degree, (0, 1), [shift, swap]))
+    return out
+
+
+def test_chain_levels_store_one_element_per_orbit_point():
+    for group in chain_groups():
+        kernel, chain = group._stabilizer_chain()
+        assert chain
+        for level in chain:
+            assert list(level.transversal) == level.orbit
+            for p, w in level.transversal.items():
+                assert type(w) is type(kernel.ident) and len(w) == len(kernel.ident)
+                assert sorted(w) == list(range(len(w)))
+                assert w[p] == level.point
+                assert Permutation(w[: group.degree]) in group
+
+
+def test_chains_above_256_points_survive_pickle_and_deepcopy():
+    degree, gens = large_generator_sets(random.Random(73))[0]
+    group = PermGroup(degree, gens)
+    assert group.order() == 600
+    rotation = Permutation(gens[0])
+    for twin in (copy.deepcopy(group), pickle.loads(pickle.dumps(group))):
+        kernel, chain = twin._chain
+        assert kernel.degree == degree and kernel.ident == tuple(range(degree))
+        assert kernel.inverse(kernel.embed(gens[0])) == _inverse(gens[0])
+        assert twin.order() == 600 and len(chain) == len(group._chain[1])
+        assert rotation * rotation in twin
+        assert Permutation((1, 0) + tuple(range(2, degree))) not in twin
 
 
 # ------------------------------------------------------------------- orbits
