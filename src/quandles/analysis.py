@@ -22,7 +22,7 @@ from .errors import (
     VerificationError,
 )
 from .graphs import SimpleGraph, is_vertex_transitive
-from .permgroup import PermGroup, Permutation, _compose, _inverse, _noncommuting_pair, _row_kernel
+from .permgroup import PermGroup, Permutation, _compose, _Kernel, _noncommuting_pair
 from .search import DEFAULT_NODE_BUDGET, automorphism_generators, quandle_structure
 
 
@@ -33,7 +33,8 @@ def inner_group(q: FiniteQuandle) -> PermGroup:
 
 def _displacement_generators(q: FiniteQuandle) -> list[tuple[int, ...]]:
     """s_x o s_0^{-1} for every point x, duplicates removed, in order of x."""
-    inv0 = _inverse(q.table[0])
+    kernel = _Kernel(q.size)
+    inv0 = kernel.inverse(kernel.embed(q.table[0]))[: q.size]
     return list(dict.fromkeys(_compose(rx, inv0) for rx in q.table))
 
 
@@ -100,9 +101,9 @@ def _noncommuting_composites(q: FiniteQuandle, *, inverse: bool):
     """
     t = q.table
     n = q.size
-    left, right = _row_kernel(t)
-    if inverse:
-        right = _row_kernel([_inverse(r) for r in t])[1]
+    kernel = _Kernel(n)
+    left = list(map(kernel.embed, t))
+    right = list(map(kernel.after, map(kernel.inverse, left) if inverse else left))
     labelled = {}
     for x in range(n):
         for y in range(n):

@@ -79,8 +79,8 @@ def _write_json(data, out: str | None, summary: str) -> None:
         print(text)
 
 
-def _load_quandle(path: str, unchecked: bool = False) -> core.FiniteQuandle:
-    return core.quandle_from_dict(_read_json(path), unchecked=unchecked)
+def _load_quandle(path: str) -> core.FiniteQuandle:
+    return core.quandle_from_dict(_read_json(path))
 
 
 def _load_graph(path: str) -> graphs.SimpleGraph:

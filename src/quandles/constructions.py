@@ -12,7 +12,8 @@ import itertools
 from ._record import Record
 from .core import FiniteQuandle, direct_product
 from .errors import AxiomError, InputError
-from .graphs import SimpleGraph, _adjacency_masks
+from .graphs import SimpleGraph, _adjacency_masks, parity_difference
+from .permgroup import _Kernel
 
 
 def trivial(n: int) -> FiniteQuandle:
@@ -36,22 +37,15 @@ def axis_quandle(n: int) -> FiniteQuandle:
     """The 2n signed standard basis vectors of n-space under coordinate reflections.
 
     Point 2(i-1)+0 is +e_i and 2(i-1)+1 is -e_i.  The symmetry at either
-    sign of e_i fixes the i-th pair and swaps the signs of every other pair.
+    sign of e_i fixes the i-th pair and swaps the signs of every other pair,
+    so this is the graph quandle of the complete graph K_n.
     """
     _require_positive(n, "dimension")
-    size = 2 * n
-    table = []
-    for p in range(size):
-        i = p // 2
-        row = []
-        for q in range(size):
-            j, b = divmod(q, 2)
-            row.append(q if j == i else 2 * j + (1 - b))
-        table.append(row)
+    everyone = (1 << n) - 1
     labels = []
     for i in range(1, n + 1):
         labels += [f"+e{i}", f"-e{i}"]
-    return FiniteQuandle(table, labels)
+    return FiniteQuandle(_graph_quandle_rows([everyone ^ 1 << v for v in range(n)]), labels)
 
 
 class SignedSubset(Record):
@@ -97,8 +91,7 @@ def aknn(k: int, n: int) -> FiniteQuandle:
     is part of the public contract.
     """
     elements = signed_subsets(k, n)
-    subsets = [set(e.indices) for e in elements[::2]]
-    masks = [sum(1 << j for j, t in enumerate(subsets) if len(t - s) % 2) for s in subsets]
+    masks = _adjacency_masks(parity_difference(n, k))
     labels = [
         ("+" if e.sign > 0 else "-") + "(" + ",".join(map(str, e.indices)) + ")"
         for e in elements
@@ -267,11 +260,11 @@ def _first_failing_point(t, vals, m):
     sums exactly; the identity holds when each is m, 2m or 3m.
     """
     n = len(t)
-    fill = bytes(256 - n)
+    kernel = _Kernel(n)  # pads a row of values, like a row of points, to a translate table
     columns = [bytes(c) for c in zip(*t)]
     rows = [bytes(r) for r in t]
-    val_rows = [bytes(r) + fill for r in vals]
-    val_columns = [bytes(c) + fill for c in zip(*vals)]
+    val_rows = list(map(kernel.embed, vals))
+    val_columns = list(map(kernel.embed, zip(*vals)))
     ones = int.from_bytes(b"\x01" * n, "little")
     offsets = [(2 * m - c) * ones for c in range(m)]
     multiples = bytes((m, 2 * m, 3 * m))

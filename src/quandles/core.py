@@ -14,15 +14,20 @@ with rows and columns swapped; only this one is used here.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import math
 
 from ._record import Record
-from .errors import AxiomError, InputError
-from .permgroup import _Kernel, _cycle_type, _inverse, _row_kernel
+from .errors import AxiomError, InputError, ResourceLimitError
+from .permgroup import _Kernel, _cycle_type, _cycles
 from .search import DEFAULT_NODE_BUDGET, isomorphisms, quandle_structure
 
 ENUMERATION_CAP = 7
+
+# The most relabelings canonical_table compares (dihedral(13) has 599,040).
+CANONICAL_SLICE_CAP = 10**6
 
 
 class AxiomReport(Record):
@@ -116,8 +121,9 @@ def _check_axioms(rows) -> AxiomReport:
     d = len(reps)
 
     q3_witness = None
-    left, right = _row_kernel(rows)
-    left_rep = _row_kernel([rep])[0][0]
+    kernel = _Kernel(n)
+    left, right = list(map(kernel.embed, rows)), list(map(kernel.after, rows))
+    left_rep = kernel.embed(rep)
     for x in reps:
         rx, lx, tx = rows[x], left[x], right[x]
         # tx(left_rep) is the representative of s_x(y) at each y.
@@ -153,7 +159,7 @@ class FiniteQuandle:
 
     __slots__ = ("size", "table", "labels")
 
-    def __init__(self, table, labels=None, *, unchecked=False):
+    def __init__(self, table, labels=None):
         rows = _as_rows(table)
         if labels is not None:
             labels = tuple(str(s) for s in labels)
@@ -161,13 +167,12 @@ class FiniteQuandle:
                 raise InputError(
                     f"{len(labels)} labels for {len(rows)} points"
                 )
-        if not unchecked:
-            report = _check_axioms(rows)
-            if not report.ok:
-                raise AxiomError(
-                    f"table is not a quandle: first violation {report.first_violation}",
-                    report,
-                )
+        report = _check_axioms(rows)
+        if not report.ok:
+            raise AxiomError(
+                f"table is not a quandle: first violation {report.first_violation}",
+                report,
+            )
         self.size = len(rows)
         self.table = rows
         self.labels = labels
@@ -310,33 +315,21 @@ def _cycles_by_length(perm, fixed) -> list[tuple[int, ...]]:
     """The cycles of perm other than the fixed point `fixed`, shortest
     first, each read from its smallest point; equal lengths keep the
     order of their smallest points."""
-    seen = {fixed}
-    cycles = []
-    for x in range(len(perm)):
-        if x in seen:
-            continue
-        cycle = [x]
-        seen.add(x)
-        y = perm[x]
-        while y != x:
-            cycle.append(y)
-            seen.add(y)
-            y = perm[y]
-        cycles.append(tuple(cycle))
-    cycles.sort(key=len)
-    return cycles
+    return sorted((c for c in _cycles(perm) if c[0] != fixed), key=len)
 
 
 @functools.lru_cache(maxsize=32)
 def _listings(p) -> tuple[tuple[bytes, bytes], ...]:
     """Every way to list the points of p, a permutation fixing 0: first 0,
     then the other cycles grouped by increasing length, each group in any
-    order and each cycle in any rotation.  Each listing L comes as the
-    pair (position, L + padding): position[v] is the index of v in L, and
-    the padded L is a translate table.  Cached: every p that the
+    order and each cycle in any rotation.  Each listing L, read as the
+    permutation i -> L[i], comes as the pair (position, L): L in the
+    stored form of _Kernel, and position the images of its inverse, so
+    position[v] is the index of v in L.  Cached: every p that the
     enumeration passes in is the least permutation of its cycle type, so
     one order n asks for at most one per partition of n - 1."""
-    pad = bytes(range(len(p), 256))
+    n = len(p)
+    kernel = _Kernel(n)
     per_length = [
         [
             tuple(itertools.chain.from_iterable(c[r:] + c[:r] for c, r in zip(order, shifts)))
@@ -346,10 +339,10 @@ def _listings(p) -> tuple[tuple[bytes, bytes], ...]:
         for group in (list(g) for _, g in itertools.groupby(_cycles_by_length(p, 0), len))
     ]
     listings = [
-        (0,) + tuple(itertools.chain.from_iterable(parts))
+        kernel.embed(itertools.chain((0,), *parts))
         for parts in itertools.product(*per_length)
     ]
-    return tuple((bytes(_inverse(listing)), bytes(listing) + pad) for listing in listings)
+    return tuple((kernel.inverse(listing)[:n], listing) for listing in listings)
 
 
 def _orbit_slice(rows, p) -> list[bytes]:
@@ -362,30 +355,44 @@ def _orbit_slice(rows, p) -> list[bytes]:
     search: for each x whose row has p's cycle type, list x and then the
     other cycles of s_x grouped by length (the source listing S); sigma
     sends S[i] to L[i] for each listing L of p (_listings).  That is
-    |X| * |C_Stab(0)(p)| relabelings, each one gather per row and one
-    translate.  A table repeats when sigma is an automorphism.
+    |X| * |C_Stab(0)(p)| relabelings (_slice_size), each one gather per
+    row and one translate.  A table repeats when sigma is an automorphism.
 
-    With R[i][j] the index in S of s_S[i](S[j]) (`reindexed`), the
-    relabeled table has L[R[i][j]] at (L[i], L[j]), so R is built once
-    per x and each listing only gathers and translates it.
+    With R[i][j] the index in S of s_S[i](S[j]), the relabeled table has
+    L[R[i][j]] at (L[i], L[j]).  Row i of R (`reindexed`) is the product
+    S^-1 o s_S[i] o S in the stored form of _Kernel, built once per x;
+    each listing only gathers and translates it.
     """
     n = len(rows)
-    pad = bytes(range(n, 256))
+    kernel = _Kernel(n)
+    mul = kernel.mul
     shape = [len(c) for c in _cycles_by_length(p, 0)]
-    rowpads = [bytes(r) + pad for r in rows]
+    stored = list(map(kernel.embed, rows))
     out = []
     for x, row in enumerate(rows):
         cycles = _cycles_by_length(row, x)
         if [len(c) for c in cycles] != shape:
             continue
-        source = bytes(itertools.chain((x,), *cycles))
-        position = bytes(_inverse(source)) + pad
-        reindexed = [source.translate(rowpads[v]).translate(position) + pad for v in source]
+        source = kernel.embed(itertools.chain((x,), *cycles))
+        position = kernel.inverse(source)
+        reindexed = [mul(position, mul(stored[v], source)) for v in source[:n]]
         out += [
-            b"".join(map(where.translate, map(reindexed.__getitem__, where))).translate(listing)
+            b"".join(map(kernel.after(where), map(reindexed.__getitem__, where))).translate(listing)
             for where, listing in _listings(p)
         ]
     return out
+
+
+def _slice_size(rows, p) -> int:
+    """len(_orbit_slice(rows, p)) from cycle types alone: |X| times
+    |C_Stab(0)(p)| = prod over L of m_L! * L^m_L, where X is the set of
+    points whose row has p's cycle type and m_L the number of cycles of
+    length L in p other than its fixed point 0."""
+    shape = _cycle_type(p)
+    size = sum(_cycle_type(r) == shape for r in rows)
+    for length, m in collections.Counter(map(len, _cycles_by_length(p, 0))).items():
+        size *= math.factorial(m) * length**m
+    return size
 
 
 def _least_of_type(lengths) -> tuple[int, ...]:
@@ -398,12 +405,6 @@ def _least_of_type(lengths) -> tuple[int, ...]:
         images += range(start + 1, start + k)
         images.append(start)
     return tuple(images)
-
-
-def _canonical_flat(rows) -> bytes:
-    """The least relabeling of the table as flat bytes (see canonical_table)."""
-    row0 = min(_least_of_type(t) for t in {_cycle_type(r) for r in rows})
-    return min(_orbit_slice(rows, row0))
 
 
 def _unflatten(t: bytes, n: int) -> tuple[tuple[int, ...], ...]:
@@ -419,7 +420,9 @@ def canonical_table(q) -> tuple[tuple[int, ...], ...]:
     row 0 = p*, the least permutation fixing 0 among the row types
     present, and it is the least of the relabelings with that row 0 (see
     _orbit_slice).  This needs rows that are permutations fixing their
-    own point (Q1 and Q2, not Q3); anything else raises InputError.
+    own point (Q1 and Q2, not Q3); anything else raises InputError.  A
+    table with more than CANONICAL_SLICE_CAP such relabelings raises
+    ResourceLimitError before any is built.
     """
     rows = _as_rows(q)
     n = len(rows)
@@ -428,7 +431,13 @@ def canonical_table(q) -> tuple[tuple[int, ...], ...]:
     for x, row in enumerate(rows):
         if row[x] != x or len(set(row)) != n:
             raise InputError(f"row {x} is not a permutation fixing {x}")
-    return _unflatten(_canonical_flat(rows), n)
+    p = min(_least_of_type(t) for t in {_cycle_type(r) for r in rows})
+    size = _slice_size(rows, p)
+    if size > CANONICAL_SLICE_CAP:
+        raise ResourceLimitError(
+            f"canonical_table would compare {size} relabelings, over the bound of {CANONICAL_SLICE_CAP}"
+        )
+    return _unflatten(min(_orbit_slice(rows, p)), n)
 
 
 def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -439,6 +448,7 @@ def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
     points = range(n)
     kernel = _Kernel(n)
+    mul = kernel.mul
     typed = [(tuple(-c for c in _cycle_type(p)), kernel.embed(p)) for p in itertools.permutations(points)]
     row_choices = [[(key, r) for key, r in typed if r[x] == x] for x in points]
 
@@ -466,9 +476,9 @@ def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
                 ry = rows[y]
                 if ry is None:
                     continue
-                if not place(rx[y], ix.translate(ry).translate(rx), trail):
+                if not place(rx[y], mul(rx, mul(ry, ix)), trail):
                     return False
-                if not place(ry[x], inv[y].translate(rx).translate(ry), trail):
+                if not place(ry[x], mul(ry, mul(rx, inv[y])), trail):
                     return False
         return True
 
@@ -509,9 +519,9 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
     Rows are chosen by backtracking over diagonal-fixing permutations.
     Placing rows x and y forces the row at table[x][y] to be the
     conjugate row_x o row_y o row_x^-1, which prunes most of the tree
-    and enforces Q3 exactly.  Rows are kept in the translation-table
-    form of the permutation kernel, with one inverse per placed row, so
-    each conjugate is two byte translates and nothing is cached.
+    and enforces Q3 exactly.  Rows are kept in the stored form of the
+    permutation kernel, with one inverse per placed row, so each
+    conjugate is two kernel products and nothing is cached.
 
     Relabelings are broken at row 0.  Order cycle types by the key
     (-c for c in sorted lengths), which puts the identity's type last.
@@ -539,10 +549,7 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
     canonical table of each class, computed on the same kind of slice
     (see canonical_table).  Output is sorted.
     """
-    return [
-        FiniteQuandle(_unflatten(t, n))
-        for t in sorted(_canonical_flat(rows) for rows in _first_tables(n))
-    ]
+    return sorted((FiniteQuandle(canonical_table(rows)) for rows in _first_tables(n)), key=lambda q: q.table)
 
 
 def quandle_to_dict(q: FiniteQuandle) -> dict:
@@ -552,8 +559,8 @@ def quandle_to_dict(q: FiniteQuandle) -> dict:
     return d
 
 
-def quandle_from_dict(d, *, unchecked: bool = False) -> FiniteQuandle:
-    """Parse quandle JSON; axiom failures are rejected unless unchecked is set."""
+def quandle_from_dict(d) -> FiniteQuandle:
+    """Parse quandle JSON; a table that fails the axioms raises AxiomError."""
     if not isinstance(d, dict):
         raise InputError("quandle JSON must be an object")
     if "size" not in d or "table" not in d:
@@ -571,4 +578,4 @@ def quandle_from_dict(d, *, unchecked: bool = False) -> FiniteQuandle:
         or not all(isinstance(s, str) for s in labels)
     ):
         raise InputError(f'"labels" must be a list of {size} strings')
-    return FiniteQuandle(table, labels, unchecked=unchecked)
+    return FiniteQuandle(table, labels)

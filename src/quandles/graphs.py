@@ -147,27 +147,13 @@ def star(n: int) -> SimpleGraph:
 def johnson(n: int, k: int) -> SimpleGraph:
     """k-subsets of {1..n} in lexicographic order; edges where the
     intersection has k-1 elements."""
-    subsets = _subset_vertices(n, k)
-    edges = [
-        (i, j)
-        for i in range(len(subsets))
-        for j in range(i + 1, len(subsets))
-        if len(set(subsets[i]) & set(subsets[j])) == k - 1
-    ]
-    return SimpleGraph(len(subsets), edges, labels=[_subset_label(s) for s in subsets])
+    return _subset_graph(n, k, lambda v, w: len(v & w) == k - 1)
 
 
 def parity_difference(n: int, k: int) -> SimpleGraph:
     """k-subsets of {1..n} in lexicographic order; edges where the
     difference v \\ w has odd size."""
-    subsets = _subset_vertices(n, k)
-    edges = [
-        (i, j)
-        for i in range(len(subsets))
-        for j in range(i + 1, len(subsets))
-        if len(set(subsets[i]) - set(subsets[j])) % 2 == 1
-    ]
-    return SimpleGraph(len(subsets), edges, labels=[_subset_label(s) for s in subsets])
+    return _subset_graph(n, k, lambda v, w: len(v - w) % 2 == 1)
 
 
 def _require_positive(n):
@@ -175,15 +161,16 @@ def _require_positive(n):
         raise InputError(f"vertex count must be a positive integer, got {n!r}")
 
 
-def _subset_vertices(n, k):
+def _subset_graph(n, k, joined):
+    """The k-subsets of {1..n} in lexicographic order, labelled by their
+    elements, with an edge where joined(v, w) holds for v before w."""
     _require_positive(n)
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k!r}, n={n!r}")
-    return list(itertools.combinations(range(1, n + 1), k))
-
-
-def _subset_label(subset):
-    return "{" + ",".join(str(i) for i in subset) + "}"
+    subsets = list(itertools.combinations(range(1, n + 1), k))
+    sets = list(map(set, subsets))
+    edges = [(i, j) for i, j in itertools.combinations(range(len(sets)), 2) if joined(sets[i], sets[j])]
+    return SimpleGraph(len(sets), edges, labels=["{" + ",".join(map(str, s)) + "}" for s in subsets])
 
 
 def graph_to_dict(g: SimpleGraph) -> dict:

@@ -8,9 +8,10 @@ deterministic Schreier-Sims that resumes instead of restarting (Sims
 and O'Brien, Handbook of Computational Group Theory, 2005, sec. 4.4).  A
 group given as a strong generating set for a known base, as the
 automorphism search returns it, has its chain read off level by level
-with no Schreier generator tested.  Chain elements, the row products of
-the axiom check and the rows of the enumeration share one stored form
-(_Kernel), so each product and each inverse is one C call.  Orbits,
+with no Schreier generator tested.  This module is the one place that
+walks cycles (_cycles), multiplies image tuples (_compose) and stores
+permutations (_Kernel, the form of chain elements and of every row
+product elsewhere, so each product and inverse is one C call).  Orbits,
 transitivity and abelianness need only the generators.  No element is
 ever listed.
 """
@@ -24,9 +25,15 @@ from ._record import Record
 from .errors import InputError
 
 
+def _after(b):
+    """The function taking an image tuple a to the images of a o b (apply
+    b first).  At degree 0 and 1 a o b is a, the identity."""
+    return operator.itemgetter(*b) if len(b) > 1 else tuple
+
+
 def _compose(a, b):
     """Images of a o b (apply b first) for image tuples."""
-    return tuple(map(a.__getitem__, b))
+    return _after(b)(a)
 
 
 def _inverse(a):
@@ -78,21 +85,29 @@ class Permutation(Record):
     __mul__ = compose
 
 
-def _cycle_type(images) -> tuple[int, ...]:
-    """Sorted cycle lengths of the permutation with these images."""
+def _cycles(images) -> list[tuple[int, ...]]:
+    """The cycles of the permutation with these images, fixed points
+    included, each read from its smallest point, in the order of those
+    points."""
     seen = [False] * len(images)
-    lengths = []
+    cycles = []
     for x in range(len(images)):
         if seen[x]:
             continue
-        length = 0
-        y = x
-        while not seen[y]:
+        cycle = [x]
+        seen[x] = True
+        y = images[x]
+        while y != x:
+            cycle.append(y)
             seen[y] = True
             y = images[y]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths))
+        cycles.append(tuple(cycle))
+    return cycles
+
+
+def _cycle_type(images) -> tuple[int, ...]:
+    """Sorted cycle lengths of the permutation with these images."""
+    return tuple(sorted(map(len, _cycles(images))))
 
 
 _IDENTITY = bytes(range(256))
@@ -108,8 +123,9 @@ class _Kernel:
     to the images a[b[z]] of a o b.  Up to 256 points a permutation is
     its images padded with fixed points to a 256-byte translation table,
     so a o b is b.translate(a) and the inverse bytes.maketrans(a,
-    identity).  Above that it is its image tuple.  Stored forms are
-    equal exactly when the permutations are.
+    identity).  Above that it is its image tuple, multiplied by _compose.
+    Either way a stored form begins with its images, and stored forms
+    are equal exactly when the permutations are.
     """
 
     __slots__ = ("degree", "embed", "after", "mul", "inverse", "ident")
@@ -124,8 +140,8 @@ class _Kernel:
             self.inverse = lambda a: bytes.maketrans(a, _IDENTITY)
         else:
             self.embed = tuple
-            self.after = lambda b: operator.itemgetter(*b)
-            self.mul = lambda a, b: operator.itemgetter(*b)(a)
+            self.after = _after
+            self.mul = _compose
             self.inverse = _inverse
         self.ident = self.embed(range(degree))
 
@@ -134,21 +150,11 @@ class _Kernel:
         return _Kernel, (self.degree,)
 
 
-def _row_kernel(rows):
-    """Row products in one C call each.
-
-    Returns (left, right) such that right[b](left[a]) is the image
-    sequence of a o b for any two of the given rows (equal-length
-    sequences of points 0..n-1): left holds the rows in the stored form
-    of _Kernel and right their after functions.
-    """
-    kernel = _Kernel(len(rows[0]) if rows else 0)
-    return list(map(kernel.embed, rows)), list(map(kernel.after, rows))
-
-
 def _noncommuting_pair(rows):
-    """The first (a, b), a < b, with a o b != b o a among the rows, or None."""
-    left, right = _row_kernel(rows)
+    """The first (a, b), a < b, with a o b != b o a among the rows (image
+    sequences or stored forms of one degree), or None."""
+    kernel = _Kernel(len(rows[0]) if rows else 0)
+    left, right = list(map(kernel.embed, rows)), list(map(kernel.after, rows))
     for a, (la, ra) in enumerate(zip(left, right)):
         for b in range(a + 1, len(rows)):
             if right[b](la) != ra(left[b]):

@@ -70,9 +70,13 @@ def quandle_structure(rows) -> Structure:
 
 
 def graph_structure(masks, invariants) -> Structure:
-    """The graph with these adjacency bitmasks and vertex invariants."""
+    """The graph with these adjacency bitmasks and vertex invariants; a
+    colour row is its mask's binary digits, lowest first, as bytes 0/1."""
     n = len(masks)
-    return Structure(invariants, [bytes(m >> a & 1 for a in range(n)) for m in masks])
+    return Structure(invariants, [
+        bin(m)[:1:-1].ljust(n, "0").encode().replace(b"0", b"\0").replace(b"1", b"\1")
+        for m in masks
+    ])
 
 
 def _pick(img, dom):

@@ -67,8 +67,10 @@ def test_axis_two_dimensions_is_dihedral4():
 
 
 def test_axis_equals_one_dimensional_planes():
-    for n in range(1, 5):
-        assert axis_quandle(n).table == aknn(1, n).table
+    for n in range(1, 8):
+        table = axis_quandle(n).table
+        assert table == aknn(1, n).table == from_graph(graphs.complete(n)).table
+    assert axis_quandle(2).labels == ("+e1", "-e1", "+e2", "-e2")
 
 
 def test_axis_sign_rule():

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from quandles import (
     verify_axioms,
 )
 from quandles import axis_quandle, graphs
-from quandles.core import _least_of_type, _orbit_slice
+from quandles.core import CANONICAL_SLICE_CAP, _first_tables, _least_of_type, _orbit_slice, _slice_size
 
 from helpers import (
     cycle_type,
@@ -87,11 +88,11 @@ def test_malformed_tables_raise_not_report():
         verify_axioms([])
     with pytest.raises(AxiomError):
         FiniteQuandle([[1, 0], [0, 1]])
-    # unchecked skips the axiom gate but not the shape gate
-    q = FiniteQuandle([[1, 0], [0, 1]], unchecked=True)
-    assert q.size == 2
+    # the shape gate comes before the axiom gate
     with pytest.raises(InputError):
-        FiniteQuandle([[0, 2], [1, 0]], unchecked=True)
+        FiniteQuandle([[0, 2], [1, 0]])
+    with pytest.raises(TypeError):
+        FiniteQuandle([[1, 0], [0, 1]], unchecked=True)
 
 
 class Label(int):
@@ -352,7 +353,7 @@ def test_search_budget_is_an_error_not_a_no():
 
 def test_isomorphism_search_goes_deeper_than_the_recursion_limit():
     n = sys.getrecursionlimit() + 100
-    q = FiniteQuandle([range(n)] * n, unchecked=True)
+    q = FiniteQuandle([range(n)] * n)
     f = find_isomorphism(q, q)
     assert f is not None and bijective(f)
     assert is_homomorphism(f, q, q)
@@ -594,6 +595,31 @@ def test_orbit_slice_is_the_part_of_the_orbit_with_that_row_0():
             assert len(got) == same_type * _centralizer_in_stabilizer(p)
 
 
+def test_slice_size_is_the_length_of_the_slice():
+    cases = 0
+    for n in range(1, 7):
+        for rows in _first_tables(n):
+            for p in {_least_of_type(cycle_type(r)) for r in rows}:
+                assert _slice_size(rows, p) == len(_orbit_slice(rows, p))
+                cases += 1
+    assert cases == 210
+
+
+def test_canonical_table_refuses_big_slices_before_any_work():
+    for q, size in (
+        (dihedral(15), 9_676_800),
+        (trivial(12), 12 * math.factorial(11)),
+        (from_graph(graphs.empty(6)), 12 * math.factorial(11)),
+        (trivial(10), 10 * math.factorial(9)),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"{size} relabelings.*{CANONICAL_SLICE_CAP}"):
+            canonical_table(q)
+        assert time.perf_counter() - start < 1
+    # 11 * 2^5 * 5! relabelings are admitted.
+    assert canonical_table(dihedral(11)) == canonical_table(relabeled_table(dihedral(11).table, list(range(10, -1, -1))))
+
+
 def test_one_point():
     assert _orbit_slice(((0,),), (0,)) == [b"\x00"]
     assert canonical_table([[0]]) == ((0,),)
@@ -619,11 +645,12 @@ def test_json_round_trip():
     assert back.labels == ("a", "b", "c", "d")
 
 
-def test_json_rejects_non_quandles_unless_unchecked():
+def test_json_rejects_non_quandles():
     bad = {"size": 2, "table": [[1, 0], [0, 1]]}
     with pytest.raises(AxiomError):
         quandle_from_dict(bad)
-    assert quandle_from_dict(bad, unchecked=True).size == 2
+    with pytest.raises(TypeError):
+        quandle_from_dict(bad, unchecked=True)
 
 
 def test_json_shape_errors():

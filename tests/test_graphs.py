@@ -19,6 +19,7 @@ from quandles.graphs import (
     to_dot,
 )
 from quandles.graphs import _adjacency_masks, _vertex_profiles
+from quandles.search import graph_structure
 
 from helpers import (
     group_elements,
@@ -182,6 +183,17 @@ def test_vertex_profiles_match_networkx():
             for v in range(g.vertex_count)
         ]
         assert _vertex_profiles(_adjacency_masks(g)) == expected
+
+
+def test_colour_rows_are_the_mask_bits():
+    rng = random.Random(43)
+    cases = [_adjacency_masks(SimpleGraph(n, random_edge_set(rng, n, p))) for n, p in ((9, 0.5), (40, 0.3), (300, 0.3))]
+    for n in (1, 2):
+        cases += [[0] * n, [(1 << n) - 1] * n]
+    for masks in cases:
+        n = len(masks)
+        rows = graph_structure(masks, [0] * n).colours
+        assert rows == [bytes(m >> a & 1 for a in range(n)) for m in masks]
 
 
 def test_automorphisms_match_networkx():

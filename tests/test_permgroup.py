@@ -7,7 +7,7 @@ import pytest
 
 from quandles import InputError, PermGroup, Permutation
 from quandles import dihedral, direct_product, from_graph, graphs, inner_group, trivial
-from quandles.permgroup import _Kernel, _cycle_type, _inverse, _noncommuting_pair
+from quandles.permgroup import _compose, _cycle_type, _cycles, _inverse, _Kernel, _noncommuting_pair
 
 from helpers import closure_by_products, cycle_type, first_noncommuting_rows
 
@@ -56,6 +56,35 @@ def test_inverse_and_cycle_type():
             inv = _inverse(images)
             assert all(inv[images[x]] == x for x in range(n))
             assert _cycle_type(images) == cycle_type(images)
+
+
+def test_cycles_are_read_from_their_smallest_points_in_order():
+    assert _cycles(()) == []
+    assert _cycles((0,)) == [(0,)]
+    assert _cycles((3, 2, 1, 4, 0, 5)) == [(0, 3, 4), (1, 2), (5,)]
+    rng = random.Random(31)
+    for n in range(0, 12):
+        for _ in range(10):
+            images = tuple(rng.sample(range(n), n))
+            cycles = _cycles(images)
+            assert sorted(x for c in cycles for x in c) == list(range(n))
+            assert [c[0] for c in cycles] == sorted(min(c) for c in cycles)
+            for c in cycles:
+                assert all(images[c[i]] == c[(i + 1) % len(c)] for i in range(len(c)))
+
+
+# itemgetter with one index returns a scalar and with none fails, so
+# degrees 0 and 1 need their own case in the one tuple product.
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 257])
+def test_tuple_product_at_every_degree(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        a, b = (tuple(rng.sample(range(n), n)) for _ in range(2))
+        assert _compose(a, b) == tuple(a[x] for x in b)
+        assert Permutation(a) * Permutation(b) == Permutation(_compose(a, b))
+        if n > 256:
+            kernel = _Kernel(n)
+            assert kernel.mul(a, b) == _compose(a, b) == kernel.after(b)(a)
 
 
 @pytest.mark.parametrize(
