@@ -22,7 +22,7 @@ from .errors import (
     VerificationError,
 )
 from .graphs import SimpleGraph, is_vertex_transitive
-from .permgroup import PermGroup, Permutation, _compose, _Kernel, _noncommuting_pair
+from .permgroup import PermGroup, Permutation, _Kernel, _noncommuting_pair
 from .search import DEFAULT_NODE_BUDGET, automorphism_generators, quandle_structure
 
 
@@ -31,11 +31,11 @@ def inner_group(q: FiniteQuandle) -> PermGroup:
     return PermGroup(q.size, [Permutation(r) for r in dict.fromkeys(q.table)])
 
 
-def _displacement_generators(q: FiniteQuandle) -> list[tuple[int, ...]]:
-    """s_x o s_0^{-1} for every point x, duplicates removed, in order of x."""
+def _displacement_generators(q: FiniteQuandle) -> list:
+    """Images of s_x o s_0^{-1} for every point x, duplicates removed, in order of x."""
     kernel = _Kernel(q.size)
-    inv0 = kernel.inverse(kernel.embed(q.table[0]))[: q.size]
-    return list(dict.fromkeys(_compose(rx, inv0) for rx in q.table))
+    s0 = kernel.embed(q.table[0])
+    return list(dict.fromkeys(kernel.scatter(s0, kernel.embed(rx))[: q.size] for rx in q.table))
 
 
 def even_inner_group(q: FiniteQuandle) -> PermGroup:
@@ -45,8 +45,8 @@ def even_inner_group(q: FiniteQuandle) -> PermGroup:
     and the last factor lies in Dis because Dis is normal in Inn (by the
     third axiom); conversely s_x s_y^{-1} = (s_x s_y)(s_y^2)^{-1}.
     """
-    r0 = q.table[0]
-    return PermGroup(q.size, _displacement_generators(q) + [_compose(r0, r0)])
+    s0 = Permutation(q.table[0])
+    return PermGroup(q.size, _displacement_generators(q) + [s0 * s0])
 
 
 def displacement_group(q: FiniteQuandle) -> PermGroup:
@@ -103,7 +103,7 @@ def _noncommuting_composites(q: FiniteQuandle, *, inverse: bool):
     n = q.size
     kernel = _Kernel(n)
     left = list(map(kernel.embed, t))
-    right = list(map(kernel.after, map(kernel.inverse, left) if inverse else left))
+    right = [kernel.after(kernel.scatter(r, kernel.ident) if inverse else r) for r in left]
     labelled = {}
     for x in range(n):
         for y in range(n):

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (or every requested property true), 1 a requested
 property or reconstruction precondition is false, 2 malformed input,
-bad usage, an exceeded search limit, or an input too deep or too large
-for the recursion limit or memory.  Output for fixed inputs is
-byte-stable: collections are sorted and nothing is timestamped.
+bad usage, an exceeded search limit, an input too deep or too large for
+the recursion limit or memory, or a failed internal cross-check (a bug).
+Output for fixed inputs is byte-stable: collections are sorted and
+nothing is timestamped.
 
 QUANDLES_NODE_BUDGET overrides the backtracking-node budget (default
 10^5) of the automorphism search of `check`; it is the only environment
@@ -25,6 +26,7 @@ from .errors import (
     InputError,
     NotCrossedError,
     ResourceLimitError,
+    VerificationError,
 )
 
 PROPERTY_NAMES = (
@@ -280,7 +282,7 @@ def main(argv=None) -> int:
     except (NotCrossedError, BadComponentSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InputError, ResourceLimitError) as exc:
+    except (InputError, ResourceLimitError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -342,7 +342,7 @@ def _listings(p) -> tuple[tuple[bytes, bytes], ...]:
         kernel.embed(itertools.chain((0,), *parts))
         for parts in itertools.product(*per_length)
     ]
-    return tuple((kernel.inverse(listing)[:n], listing) for listing in listings)
+    return tuple((kernel.scatter(listing, kernel.ident)[:n], listing) for listing in listings)
 
 
 def _orbit_slice(rows, p) -> list[bytes]:
@@ -365,7 +365,7 @@ def _orbit_slice(rows, p) -> list[bytes]:
     """
     n = len(rows)
     kernel = _Kernel(n)
-    mul = kernel.mul
+    gather = kernel.gather
     shape = [len(c) for c in _cycles_by_length(p, 0)]
     stored = list(map(kernel.embed, rows))
     out = []
@@ -374,8 +374,8 @@ def _orbit_slice(rows, p) -> list[bytes]:
         if [len(c) for c in cycles] != shape:
             continue
         source = kernel.embed(itertools.chain((x,), *cycles))
-        position = kernel.inverse(source)
-        reindexed = [mul(position, mul(stored[v], source)) for v in source[:n]]
+        position = kernel.scatter(source, kernel.ident)
+        reindexed = [gather(gather(source, stored[v]), position) for v in source[:n]]
         out += [
             b"".join(map(kernel.after(where), map(reindexed.__getitem__, where))).translate(listing)
             for where, listing in _listings(p)
@@ -448,12 +448,11 @@ def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
     points = range(n)
     kernel = _Kernel(n)
-    mul = kernel.mul
+    gather, scatter = kernel.gather, kernel.scatter
     typed = [(tuple(-c for c in _cycle_type(p)), kernel.embed(p)) for p in itertools.permutations(points)]
     row_choices = [[(key, r) for key, r in typed if r[x] == x] for x in points]
 
     rows: list = [None] * n
-    inv: list = [None] * n  # inv[z] is the inverse of rows[z]
     seen = set()
     found = []
 
@@ -462,7 +461,6 @@ def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
         if cur is not None:
             return cur == perm
         rows[z] = perm
-        inv[z] = kernel.inverse(perm)
         trail.append(z)
         return True
 
@@ -471,14 +469,14 @@ def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
         while qi < len(trail):
             x = trail[qi]
             qi += 1
-            rx, ix = rows[x], inv[x]
+            rx = rows[x]
             for y in points:
                 ry = rows[y]
                 if ry is None:
                     continue
-                if not place(rx[y], mul(rx, mul(ry, ix)), trail):
+                if not place(rx[y], scatter(rx, gather(ry, rx)), trail):
                     return False
-                if not place(ry[x], mul(ry, mul(rx, inv[y])), trail):
+                if not place(ry[x], scatter(ry, gather(rx, ry)), trail):
                     return False
         return True
 
@@ -520,8 +518,8 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
     Placing rows x and y forces the row at table[x][y] to be the
     conjugate row_x o row_y o row_x^-1, which prunes most of the tree
     and enforces Q3 exactly.  Rows are kept in the stored form of the
-    permutation kernel, with one inverse per placed row, so each
-    conjugate is two kernel products and nothing is cached.
+    permutation kernel, with no inverse: each conjugate is two kernel
+    calls, scatter(row_x, gather(row_y, row_x)), and nothing is cached.
 
     Relabelings are broken at row 0.  Order cycle types by the key
     (-c for c in sorted lengths), which puts the identity's type last.

@@ -9,11 +9,11 @@ and O'Brien, Handbook of Computational Group Theory, 2005, sec. 4.4).  A
 group given as a strong generating set for a known base, as the
 automorphism search returns it, has its chain read off level by level
 with no Schreier generator tested.  This module is the one place that
-walks cycles (_cycles), multiplies image tuples (_compose) and stores
-permutations (_Kernel, the form of chain elements and of every row
-product elsewhere, so each product and inverse is one C call).  Orbits,
-transitivity and abelianness need only the generators.  No element is
-ever listed.
+walks cycles (_cycles) and stores permutations (_Kernel, the form of
+chain elements and of every row product elsewhere, with its two
+primitives gather, a o b, and scatter, a o b^-1; no inverse is stored).
+Orbits, transitivity and abelianness need only the generators.  No
+element is ever listed.
 """
 
 from __future__ import annotations
@@ -25,23 +25,18 @@ from ._record import Record
 from .errors import InputError
 
 
-def _after(b):
-    """The function taking an image tuple a to the images of a o b (apply
-    b first).  At degree 0 and 1 a o b is a, the identity."""
-    return operator.itemgetter(*b) if len(b) > 1 else tuple
+def _gather(b, a):
+    """Images a[b[z]] of a o b (apply b first), for image tuples of more
+    than one point."""
+    return operator.itemgetter(*b)(a)
 
 
-def _compose(a, b):
-    """Images of a o b (apply b first) for image tuples."""
-    return _after(b)(a)
-
-
-def _inverse(a):
-    """Images of the inverse permutation, for an image tuple."""
-    inv = [0] * len(a)
-    for x, y in enumerate(a):
-        inv[y] = x
-    return tuple(inv)
+def _scatter(b, a):
+    """The permutation sending b[z] to a[z], a o b^-1, for image tuples."""
+    out = [0] * len(b)
+    for x, y in zip(b, a):
+        out[x] = y
+    return tuple(out)
 
 
 @functools.total_ordering
@@ -80,7 +75,8 @@ class Permutation(Record):
             raise InputError(
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
-        return Permutation(_compose(self.images, other.images))
+        kernel = _Kernel(self.degree)
+        return Permutation(kernel.gather(kernel.embed(other.images), kernel.embed(self.images))[: self.degree])
 
     __mul__ = compose
 
@@ -114,21 +110,22 @@ _IDENTITY = bytes(range(256))
 
 
 class _Kernel:
-    """How the permutations of one degree are stored, so that each
-    product and inverse is one C call.
+    """How the permutations of one degree are stored, and the two
+    primitives that multiply them.
 
-    embed(images) gives the stored form.  For stored a and b, mul(a, b)
-    is a o b (apply b first) and inverse(a) the inverse; ident is the
-    identity, and after(b), for b stored or given by its images, takes a
-    to the images a[b[z]] of a o b.  Up to 256 points a permutation is
-    its images padded with fixed points to a 256-byte translation table,
-    so a o b is b.translate(a) and the inverse bytes.maketrans(a,
-    identity).  Above that it is its image tuple, multiplied by _compose.
-    Either way a stored form begins with its images, and stored forms
-    are equal exactly when the permutations are.
+    embed(images) gives the stored form and ident the identity.  For
+    stored a and b, gather(b, a) is a o b, the images a[b[z]], and
+    scatter(b, a) is a o b^-1, sending b[z] to a[z]; so scatter(a, ident)
+    is the inverse of a.  after(b), for b stored or given by its images,
+    is gather with b fixed and gives the images only.  Up to 256 points a
+    permutation is its images padded with fixed points to a 256-byte
+    translation table, and the primitives are bytes.translate and
+    bytes.maketrans.  Above that it is its image tuple, and they are
+    _gather and _scatter.  Either way a stored form begins with its
+    images, and stored forms are equal exactly when the permutations are.
     """
 
-    __slots__ = ("degree", "embed", "after", "mul", "inverse", "ident")
+    __slots__ = ("degree", "embed", "after", "gather", "scatter", "ident")
 
     def __init__(self, degree):
         self.degree = degree
@@ -136,13 +133,11 @@ class _Kernel:
             pad = _IDENTITY[degree:]
             self.embed = lambda r: bytes(r) + pad
             self.after = lambda b: bytes(b).translate
-            self.mul = lambda a, b: b.translate(a)
-            self.inverse = lambda a: bytes.maketrans(a, _IDENTITY)
+            self.gather, self.scatter = bytes.translate, bytes.maketrans
         else:
             self.embed = tuple
-            self.after = _after
-            self.mul = _compose
-            self.inverse = _inverse
+            self.after = lambda b: operator.itemgetter(*b)
+            self.gather, self.scatter = _gather, _scatter
         self.ident = self.embed(range(degree))
 
     def __reduce__(self):
@@ -166,10 +161,10 @@ class _Level:
     """One level of a stabilizer chain.
 
     It holds a base point, the strong generators that fix the earlier
-    base points (each with its inverse), the orbit of the base point in
-    the order its points were reached, and the transversal {p: w_p}: one
-    element per orbit point, the inverse of its coset representative, so
-    w_p(p) = point.  tested[k] counts the generators whose Schreier
+    base points, the orbit of the base point in the order its points
+    were reached, and the transversal {p: w_p}: one element per orbit
+    point, the inverse of its coset representative, so w_p(p) = point.
+    tested[k] counts the generators whose Schreier
     generator at orbit[k] has been tested.  A representative, once
     chosen, is never replaced, so a tested Schreier generator stays the
     same element.
@@ -184,17 +179,17 @@ class _Level:
         self.transversal = {point: ident}
         self.tested = [0]
 
-    def add(self, new_gens, mul):
-        """Append strong generators, given as (s, s^-1), and grow the orbit
-        under all of them from the points it has: w_{s(p)} = w_p o s^-1."""
+    def add(self, new_gens, scatter):
+        """Append strong generators and grow the orbit under all of them
+        from the points it has: w_{s(p)} = w_p o s^-1 = scatter(s, w_p)."""
         gens, orbit, trans, tested = self.gens, self.orbit, self.transversal, self.tested
         gens.extend(new_gens)
         old = len(orbit)
         for k, p in enumerate(orbit):
-            for s, s_inv in new_gens if k < old else gens:
+            for s in new_gens if k < old else gens:
                 q = s[p]
                 if q not in trans:
-                    trans[q] = mul(trans[p], s_inv)
+                    trans[q] = scatter(s, trans[p])
                     orbit.append(q)
                     tested.append(0)
 
@@ -202,7 +197,7 @@ class _Level:
 def _sift(chain, g, start, kernel):
     """Strip g through chain[start:]: the residue and the index of the
     level where it left the chain (len(chain) if it went through)."""
-    mul, ident = kernel.mul, kernel.ident
+    gather, ident = kernel.gather, kernel.ident
     for j in range(start, len(chain)):
         level = chain[j]
         p = g[level.point]
@@ -210,7 +205,7 @@ def _sift(chain, g, start, kernel):
             w = level.transversal.get(p)
             if w is None:
                 return g, j
-            g = mul(w, g)
+            g = gather(g, w)
             if g == ident:
                 break
     return g, len(chain)
@@ -238,7 +233,7 @@ def _schreier_sims(kernel, gens) -> list[_Level]:
     generators generate the pointwise stabilizer of the earlier base
     points.
     """
-    mul, inverse, ident = kernel.mul, kernel.inverse, kernel.ident
+    gather, scatter, ident = kernel.gather, kernel.scatter, kernel.ident
     gens = [g for g in gens if g != ident]
     base = []
     for g in gens:
@@ -254,7 +249,7 @@ def _schreier_sims(kernel, gens) -> list[_Level]:
         for k, p in enumerate(level.orbit):
             w_p, u_p = trans[p], None
             while tested[k] < len(strong):
-                s = strong[tested[k]][0]
+                s = strong[tested[k]]
                 tested[k] += 1
                 q = s[p]
                 if q == p == level.point:
@@ -262,12 +257,12 @@ def _schreier_sims(kernel, gens) -> list[_Level]:
                     # the next level: every generator that fixes a
                     # level's base point was added to the level below.
                     continue
-                ws = mul(trans[q], s)
+                ws = gather(s, trans[q])
                 if ws == w_p:
                     continue
                 if u_p is None:
-                    u_p = inverse(w_p)
-                h, j = _sift(chain, mul(ws, u_p), i + 1, kernel)
+                    u_p = scatter(w_p, ident)
+                h, j = _sift(chain, gather(u_p, ws), i + 1, kernel)
                 if j < len(chain) or h != ident:
                     residue = h, j
                     break
@@ -279,9 +274,8 @@ def _schreier_sims(kernel, gens) -> list[_Level]:
         h, j = residue
         if j == len(chain):
             chain.append(_Level(_first_moved(h, ident), ident))
-        pair = [(h, inverse(h))]
         for deeper in chain[i + 1 : j + 1]:
-            deeper.add(pair, mul)
+            deeper.add([h], scatter)
         i = j
     return chain
 
@@ -293,13 +287,13 @@ def _known_base_chain(kernel, base, gens) -> list[_Level]:
     when they are a strong generating set for that base.  Levels with a
     trivial orbit are left out; they change neither orders nor sifting."""
     chain = []
-    fixing = [(g, kernel.inverse(g)) for g in gens]
+    fixing = gens
     for b in base:
         level = _Level(b, kernel.ident)
-        level.add(fixing, kernel.mul)
+        level.add(fixing, kernel.scatter)
         if len(level.orbit) > 1:
             chain.append(level)
-        fixing = [pair for pair in fixing if pair[0][b] == b]
+        fixing = [g for g in fixing if g[b] == b]
     return chain
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -287,6 +288,33 @@ def test_paper_theorem_on_relabeled_graph_quandles_above_sixteen_points(graph):
     order = aut.order()
     assert order == sympy_order(q.size, [p.images for p in aut.generators])
     assert order == 2**n * nx_automorphism_order(graph)
+
+
+def labelled_graphs(max_vertices):
+    """Every graph on 1..max_vertices labelled vertices: one per edge subset."""
+    for n in range(1, max_vertices + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield SimpleGraph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+
+
+def test_paper_theorem_on_every_labelled_graph_up_to_five_vertices():
+    # Inn(Q_G) is abelian; Q_G is homogeneous exactly when G is
+    # vertex-transitive; |Aut(Q_G)| = 2^n |Aut(G)| when G has no isolated
+    # vertex.  Each Aut chain is read off the search's base.
+    graphs_seen = 0
+    for graph in labelled_graphs(5):
+        graphs_seen += 1
+        n = graph.vertex_count
+        q = from_graph(graph)
+        rows = list(dict.fromkeys(q.table))
+        for a, b in itertools.combinations(rows, 2):
+            assert tuple(a[x] for x in b) == tuple(b[x] for x in a), graph.edges
+        aut = automorphism_group(q)
+        assert aut.is_transitive() == nx_vertex_transitive(graph), graph.edges
+        if all(any(v in e for e in graph.edges) for v in range(n)):
+            assert aut.order() == 2**n * nx_automorphism_order(graph), graph.edges
+    assert graphs_seen == 1 + 2 + 8 + 64 + 1024
 
 
 def test_the_node_budget_is_the_one_refusal():

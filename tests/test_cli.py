@@ -243,6 +243,19 @@ def test_census_json_and_bounds(capsys):
     assert code == 2
 
 
+def test_failed_cross_check_is_a_one_line_error(capsys, monkeypatch):
+    # A VerificationError means a bug; it exits 2 with an error: line, not
+    # 1 (reserved for a false property) and not a traceback.
+    from quandles import analysis
+
+    monkeypatch.setattr(analysis, "_matching_torus", lambda canonical: None)
+    code, out, err = run(capsys, "census", "--max-order", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "matches no odd torus" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "construct", "aknn", "2", "4")
     _, second, _ = run(capsys, "construct", "aknn", "2", "4")

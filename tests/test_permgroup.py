@@ -7,13 +7,32 @@ import pytest
 
 from quandles import InputError, PermGroup, Permutation
 from quandles import dihedral, direct_product, from_graph, graphs, inner_group, trivial
-from quandles.permgroup import _compose, _cycle_type, _cycles, _inverse, _Kernel, _noncommuting_pair
+from quandles.permgroup import _cycle_type, _cycles, _gather, _Kernel, _noncommuting_pair
 
-from helpers import closure_by_products, cycle_type, first_noncommuting_rows
+from helpers import closure_by_products, conjugate, cycle_type, first_noncommuting_rows
 
 
 def rows_of(q):
     return [Permutation(r) for r in q.table]
+
+
+def plain_inverse(images):
+    inv = [0] * len(images)
+    for x, y in enumerate(images):
+        inv[y] = x
+    return tuple(inv)
+
+
+def kernel_inverse(images):
+    """The images of the inverse, as the kernel's scatter(a, ident) gives them."""
+    kernel = _Kernel(len(images))
+    return tuple(kernel.scatter(kernel.embed(images), kernel.ident)[: len(images)])
+
+
+def kernel_product(a, b):
+    """The images of a o b, as the kernel's gather(b, a) gives them."""
+    kernel = _Kernel(len(a))
+    return tuple(kernel.gather(kernel.embed(b), kernel.embed(a))[: len(a)])
 
 
 def test_compose_with_identity():
@@ -46,14 +65,14 @@ def test_validation_errors():
 
 def test_inverse_and_cycle_type():
     p = (1, 2, 0, 4, 3)
-    assert Permutation(p).compose(Permutation(_inverse(p))).images == tuple(range(5))
+    assert Permutation(p).compose(Permutation(kernel_inverse(p))).images == tuple(range(5))
     assert _cycle_type(p) == (2, 3)
     assert _cycle_type(tuple(range(4))) == (1, 1, 1, 1)
     rng = random.Random(29)
     for n in range(0, 12):
         for _ in range(10):
             images = tuple(rng.sample(range(n), n))
-            inv = _inverse(images)
+            inv = kernel_inverse(images)
             assert all(inv[images[x]] == x for x in range(n))
             assert _cycle_type(images) == cycle_type(images)
 
@@ -73,18 +92,19 @@ def test_cycles_are_read_from_their_smallest_points_in_order():
                 assert all(images[c[i]] == c[(i + 1) % len(c)] for i in range(len(c)))
 
 
-# itemgetter with one index returns a scalar and with none fails, so
-# degrees 0 and 1 need their own case in the one tuple product.
+# itemgetter with one index returns a scalar and with none fails, so the
+# tuple product serves only above 256 points; Permutation.compose at
+# degrees 0 and 1 takes the bytes form.
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 257])
 def test_tuple_product_at_every_degree(n):
     rng = random.Random(n)
     for _ in range(5):
         a, b = (tuple(rng.sample(range(n), n)) for _ in range(2))
-        assert _compose(a, b) == tuple(a[x] for x in b)
-        assert Permutation(a) * Permutation(b) == Permutation(_compose(a, b))
+        assert kernel_product(a, b) == tuple(a[x] for x in b)
+        assert Permutation(a) * Permutation(b) == Permutation(kernel_product(a, b))
         if n > 256:
             kernel = _Kernel(n)
-            assert kernel.mul(a, b) == _compose(a, b) == kernel.after(b)(a)
+            assert kernel.gather(b, a) == _gather(b, a) == kernel.after(b)(a)
 
 
 @pytest.mark.parametrize(
@@ -190,7 +210,7 @@ def residue_counts(group):
     are residues found by Schreier-Sims rather than input generators."""
     kernel, chain = group._stabilizer_chain()
     given = {kernel.embed(g.images) for g in group.generators}
-    return [sum(s not in given for s, _ in level.gens) for level in chain]
+    return [sum(s not in given for s in level.gens) for level in chain]
 
 
 def test_order_and_membership_match_sympy():
@@ -227,10 +247,78 @@ def test_kernel_inverse_matches_the_tuple_inverse(n):
     rng = random.Random(n)
     for images in (tuple(range(n)), tuple(range(1, n)) + (0,), tuple(rng.sample(range(n), n))):
         a = kernel.embed(images)
-        inv = kernel.inverse(a)
+        inv = kernel.scatter(a, kernel.ident)
         assert type(inv) is (bytes if n <= 256 else tuple)
-        assert inv == kernel.embed(_inverse(images))
-        assert kernel.mul(a, inv) == kernel.mul(inv, a) == kernel.ident
+        assert inv == kernel.embed(plain_inverse(images))
+        assert kernel.gather(inv, a) == kernel.gather(a, inv) == kernel.ident
+
+
+# Degrees 0..256 take the bytes form, 257 and 300 the tuple form.
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 300])
+def test_gather_and_scatter_match_plain_comprehensions(n):
+    kernel = _Kernel(n)
+    rng = random.Random(100 + n)
+    for _ in range(5):
+        a, b = (tuple(rng.sample(range(n), n)) for _ in range(2))
+        sa, sb = kernel.embed(a), kernel.embed(b)
+        product = kernel.gather(sb, sa)
+        assert type(product) is type(kernel.ident) and len(product) == len(kernel.ident)
+        assert tuple(product[:n]) == tuple(a[b[z]] for z in range(n))
+        quotient = kernel.scatter(sb, sa)
+        assert type(quotient) is type(kernel.ident) and len(quotient) == len(kernel.ident)
+        b_inverse = plain_inverse(b)
+        assert tuple(quotient[:n]) == tuple(a[b_inverse[x]] for x in range(n))
+        assert all(quotient[b[z]] == a[z] for z in range(n))
+        assert kernel.scatter(sa, kernel.ident) == kernel.embed(plain_inverse(a))
+        assert kernel.scatter(sb, kernel.gather(sa, sb)) == kernel.embed(conjugate(a, b))
+    assert kernel.gather(kernel.ident, kernel.ident) == kernel.scatter(kernel.ident, kernel.ident) == kernel.ident
+
+
+def disjoint_short_cycles(rng, degree, count):
+    """A permutation of degree points made of count disjoint cycles of
+    length 2 to 4 on seeded points."""
+    images = list(range(degree))
+    points = rng.sample(range(degree), 4 * count)
+    for k in range(count):
+        cycle = points[4 * k : 4 * k + rng.randint(2, 4)]
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            images[x] = y
+    return tuple(images)
+
+
+def tuple_form_groups():
+    """(degree, generators) above 256 points whose groups are small: Inn of
+    dihedral(257), of order 514, and seeded products of disjoint short
+    cycles at 257 and 300 points.  (S_n would take sympy minutes there.)"""
+    rng = random.Random(257)
+    cases = [(257, [p.images for p in inner_group(dihedral(257)).generators])]
+    for degree in (257, 300):
+        cases += [(degree, [disjoint_short_cycles(rng, degree, 3) for _ in range(2)]) for _ in range(2)]
+    return cases
+
+
+def test_tuple_form_orders_and_membership_match_sympy():
+    from sympy.combinatorics import Permutation as SymPerm
+    from sympy.combinatorics import PermutationGroup
+
+    rng = random.Random(300)
+    orders = []
+    for degree, gens in tuple_form_groups():
+        group = PermGroup(degree, gens)
+        orders.append(group.order())
+        assert group._stabilizer_chain()[0].ident == tuple(range(degree))
+        # One sympy group serves order and membership, as in sympy_order.
+        oracle = PermutationGroup([SymPerm(list(g)) for g in gens])
+        assert orders[-1] == oracle.order(), (degree, gens)
+        probes = [tuple(rng.sample(range(degree), degree))]
+        for _ in range(10):
+            p = tuple(range(degree))
+            for g in rng.choices(gens, k=4):
+                p = tuple(g[x] for x in p)
+            probes += [p, (p[1], p[0]) + p[2:]]
+        for p in probes:
+            assert (Permutation(p) in group) == oracle.contains(SymPerm(list(p))), (degree, p)
+    assert orders[0] == 514
 
 
 def chain_groups():
@@ -266,7 +354,7 @@ def test_chains_above_256_points_survive_pickle_and_deepcopy():
     for twin in (copy.deepcopy(group), pickle.loads(pickle.dumps(group))):
         kernel, chain = twin._chain
         assert kernel.degree == degree and kernel.ident == tuple(range(degree))
-        assert kernel.inverse(kernel.embed(gens[0])) == _inverse(gens[0])
+        assert kernel.scatter(kernel.embed(gens[0]), kernel.ident) == plain_inverse(gens[0])
         assert twin.order() == 600 and len(chain) == len(group._chain[1])
         assert rotation * rotation in twin
         assert Permutation((1, 0) + tuple(range(2, degree))) not in twin
