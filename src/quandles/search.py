@@ -33,7 +33,7 @@ the stabilizer chain off it without Schreier-Sims.
 from __future__ import annotations
 
 from .errors import ResourceLimitError
-from .permgroup import _cycle_type, _find, _unite
+from .permgroup import _cycle_type
 
 # Colours are below 8: three bits for a quandle, one for a graph.
 PALETTE = 8
@@ -77,6 +77,23 @@ def graph_structure(masks, invariants) -> Structure:
         bin(m)[:1:-1].ljust(n, "0").encode().replace(b"0", b"\0").replace(b"1", b"\1")
         for m in masks
     ])
+
+
+def _find(parent, x):
+    """The root of x in the union-find forest parent, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _unite(parent, g):
+    """Merge the class of each point x that g moves with that of g[x]."""
+    for x, gx in enumerate(g):
+        if x != gx:
+            rx, rg = _find(parent, x), _find(parent, gx)
+            if rx != rg:
+                parent[rg] = rx
 
 
 def _pick(img, dom):

@@ -440,6 +440,26 @@ def orbit_partition(degree, perms):
     return tuple(blocks)
 
 
+def union_find_orbits(degree, perms):
+    """Orbits of the points under the permutations by union-find, as
+    sorted tuples sorted by their smallest point."""
+    parent = list(range(degree))
+
+    def root(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for p in perms:
+        for x, y in enumerate(p):
+            rx, ry = root(x), root(y)
+            parent[max(rx, ry)] = min(rx, ry)
+    blocks = {}
+    for x in range(degree):
+        blocks.setdefault(root(x), []).append(x)
+    return tuple(tuple(b) for b in sorted(blocks.values()))
+
+
 def conjugate(perm, sigma):
     """sigma o perm o sigma^-1 on image tuples: perm carried along sigma."""
     inv = [0] * len(sigma)

@@ -2,11 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quandles import aknn, dihedral, from_graph, graphs, quandle_to_dict, trivial
-from quandles.cli import main
+from quandles.cli import _dump, main
 
 
 def run(capsys, *argv):
@@ -296,3 +299,43 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# ------------------------------------------------------------- JSON writer
+
+JSON_KEYS = st.sampled_from(["table", "size", "labels", "\"", "é"]) | st.text()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.tuples(inner, inner)
+        | st.dictionaries(JSON_KEYS, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+ROWS = st.lists(st.integers(0, 300), max_size=6) | st.tuples(st.integers(), st.integers()) | JSON_VALUES
+TABLE_DOCUMENTS = st.builds(
+    lambda rest, table: {**rest, "table": table},
+    st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=4),
+    st.lists(ROWS, max_size=1) | st.lists(ROWS, max_size=5) | st.tuples(ROWS, ROWS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TABLE_DOCUMENTS | JSON_VALUES)
+def test_dump_is_sorted_key_json_dumps(data):
+    assert _dump(data) == json.dumps(data, sort_keys=True)
+
+
+def test_writing_a_table_holds_one_row_at_a_time():
+    # json.dumps holds one str per token on Python 3.11, about 12 times
+    # the output here; writing row by row holds little beyond the output.
+    q = aknn(4, 9)
+    tracemalloc.start()
+    try:
+        text = _dump(quandle_to_dict(q))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(quandle_to_dict(q), sort_keys=True)
+    assert peak < 2 * len(text)

@@ -6,7 +6,7 @@ written; a change to any of them is a change to the output contract.
 
 import json
 
-from quandles import canonical_table, dihedral, enumerate_quandles, from_graph, graphs
+from quandles import canonical_table, dihedral, enumerate_quandles, from_graph, graph_to_dict, graphs
 from quandles.cli import main
 
 from helpers import relabeled_table
@@ -92,3 +92,31 @@ def test_canonical_tables():
         [0, 1, 2, 3, 4, 5],
     ]
     assert canonical_table(relabeled) == SIX
+
+
+def test_construct_aknn_2_4_out_file(tmp_path, capsys):
+    path = tmp_path / "a24.json"
+    assert main(["construct", "aknn", "2", "4", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == f"aknn(2,4): 12 points -> {path}\n"
+    assert path.read_text() == (
+        '{"labels": ["+(1,2)", "-(1,2)", "+(1,3)", "-(1,3)", "+(1,4)", "-(1,4)", '
+        '"+(2,3)", "-(2,3)", "+(2,4)", "-(2,4)", "+(3,4)", "-(3,4)"], "size": 12, "table": ['
+        '[0, 1, 3, 2, 5, 4, 7, 6, 9, 8, 10, 11], [0, 1, 3, 2, 5, 4, 7, 6, 9, 8, 10, 11], '
+        '[1, 0, 2, 3, 5, 4, 7, 6, 8, 9, 11, 10], [1, 0, 2, 3, 5, 4, 7, 6, 8, 9, 11, 10], '
+        '[1, 0, 3, 2, 4, 5, 6, 7, 9, 8, 11, 10], [1, 0, 3, 2, 4, 5, 6, 7, 9, 8, 11, 10], '
+        '[1, 0, 3, 2, 4, 5, 6, 7, 9, 8, 11, 10], [1, 0, 3, 2, 4, 5, 6, 7, 9, 8, 11, 10], '
+        '[1, 0, 2, 3, 5, 4, 7, 6, 8, 9, 11, 10], [1, 0, 2, 3, 5, 4, 7, 6, 8, 9, 11, 10], '
+        '[0, 1, 3, 2, 5, 4, 7, 6, 9, 8, 10, 11], [0, 1, 3, 2, 5, 4, 7, 6, 9, 8, 10, 11]]}\n'
+    )
+
+
+def test_from_graph_of_a_path(tmp_path, capsys):
+    path = tmp_path / "p4.json"
+    path.write_text(json.dumps(graph_to_dict(graphs.path(4))))
+    assert main(["from-graph", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        '{"labels": ["(0,0)", "(0,1)", "(1,0)", "(1,1)", "(2,0)", "(2,1)", "(3,0)", "(3,1)"], '
+        '"size": 8, "table": [[0, 1, 3, 2, 4, 5, 6, 7], [0, 1, 3, 2, 4, 5, 6, 7], '
+        '[1, 0, 2, 3, 5, 4, 6, 7], [1, 0, 2, 3, 5, 4, 6, 7], [0, 1, 3, 2, 4, 5, 7, 6], '
+        '[0, 1, 3, 2, 4, 5, 7, 6], [0, 1, 2, 3, 5, 4, 6, 7], [0, 1, 2, 3, 5, 4, 6, 7]]}\n'
+    )

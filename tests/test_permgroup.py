@@ -8,8 +8,9 @@ import pytest
 from quandles import InputError, PermGroup, Permutation
 from quandles import dihedral, direct_product, from_graph, graphs, inner_group, trivial
 from quandles.permgroup import _cycle_type, _cycles, _gather, _Kernel, _noncommuting_pair
+from quandles.search import _find, _unite
 
-from helpers import closure_by_products, conjugate, cycle_type, first_noncommuting_rows
+from helpers import closure_by_products, conjugate, cycle_type, first_noncommuting_rows, union_find_orbits
 
 
 def rows_of(q):
@@ -390,6 +391,32 @@ def test_orbits_refine_under_generator_removal():
                 lookup[x] = i
         for block in sub:
             assert len({lookup[x] for x in block}) == 1
+
+
+def test_orbits_match_a_union_find():
+    """Seeded generator sets, each generator a random permutation of a
+    random subset of the points, so the blocks vary in number and size.
+    The search's incremental union-find, which skips fixed points, must
+    give the same blocks."""
+    rng = random.Random(19)
+    for degree in (0, 1, 9, 257, 300):
+        for _ in range(12):
+            gens = []
+            for _ in range(rng.randrange(4)):
+                moved = rng.sample(range(degree), rng.randrange(degree + 1))
+                images = list(range(degree))
+                for x, y in zip(moved, rng.sample(moved, len(moved))):
+                    images[x] = y
+                gens.append(tuple(images))
+            expected = union_find_orbits(degree, gens)
+            assert PermGroup(degree, gens).orbits() == expected
+            parent = list(range(degree))
+            for g in gens:
+                _unite(parent, g)
+            blocks = {}
+            for x in range(degree):
+                blocks.setdefault(_find(parent, x), []).append(x)
+            assert tuple(sorted(map(tuple, blocks.values()))) == expected
 
 
 # ------------------------------------------------------------- transitivity
