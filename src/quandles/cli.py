@@ -172,8 +172,6 @@ def _expect(params, count, usage):
 
 
 def cmd_check(args) -> int:
-    q = _load_quandle(args.file)
-    report = analysis.property_report(q, node_budget=_node_budget())
     requested = []
     if args.props:
         for name in args.props.split(","):
@@ -183,6 +181,9 @@ def cmd_check(args) -> int:
                     f"unknown property {name!r}; choose from {', '.join(PROPERTY_NAMES)}"
                 )
             requested.append(name)
+    node_budget = _node_budget()
+    q = _load_quandle(args.file)
+    report = analysis.property_report(q, node_budget=node_budget)
     if args.json:
         print(_dump({"size": q.size, **report.to_dict()}))
     else:

@@ -12,7 +12,7 @@ import itertools
 from ._record import Record
 from .core import FiniteQuandle, direct_product
 from .errors import AxiomError, InputError
-from .graphs import SimpleGraph, _adjacency_masks, parity_difference
+from .graphs import SimpleGraph, _adjacency_masks, _require_positive, parity_difference
 from .permgroup import _Kernel
 
 
@@ -391,8 +391,3 @@ def cocycle_from_dict(d) -> CocycleTable:
     if not isinstance(values, list) or len(values) != size:
         raise InputError(f'"values" must be a list of {size} rows')
     return CocycleTable(d["modulus"], values)
-
-
-def _require_positive(n, what):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f"{what} must be a positive integer, got {n!r}")

@@ -15,7 +15,6 @@ with rows and columns swapped; only this one is used here.
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -229,10 +228,11 @@ def is_homomorphism(f: PointMap, q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
 def iter_isomorphisms(q1: FiniteQuandle, q2: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET):
     """Yield every bijective homomorphism q1 -> q2 as an image tuple.
 
-    Backtracking over point images (see quandles.search), pruned by row
-    cycle types, by pair invariants, and by forced assignments: once x
-    and y have images, table[x][y] is forced.  Exceeding node_budget
-    raises ResourceLimitError rather than ending the search quietly.
+    Backtracking over point images (see quandles.search), pruned by the
+    colour counts of each point, by pair colours, and by forced
+    assignments: once x and y have images, table[x][y] is forced.
+    Exceeding node_budget raises ResourceLimitError rather than ending
+    the search quietly.
     """
     if q2.size != q1.size:
         return
@@ -320,16 +320,14 @@ def _cycles_by_length(perm, fixed) -> list[tuple[int, ...]]:
     return sorted((c for c in _cycles(perm) if c[0] != fixed), key=len)
 
 
-@functools.lru_cache(maxsize=32)
-def _listings(p) -> tuple[tuple[bytes, bytes], ...]:
+def _listings(p) -> list[tuple[bytes, bytes]]:
     """Every way to list the points of p, a permutation fixing 0: first 0,
     then the other cycles grouped by increasing length, each group in any
     order and each cycle in any rotation.  Each listing L, read as the
     permutation i -> L[i], comes as the pair (position, L): L in the
     stored form of _Kernel, and position the images of its inverse, so
-    position[v] is the index of v in L.  Cached: every p that the
-    enumeration passes in is the least permutation of its cycle type, so
-    one order n asks for at most one per partition of n - 1."""
+    position[v] is the index of v in L.  Not cached: a caller lists them
+    once per row 0 and drops them when it is done."""
     n = len(p)
     kernel = _Kernel(n)
     per_length = [
@@ -340,17 +338,17 @@ def _listings(p) -> tuple[tuple[bytes, bytes], ...]:
         ]
         for group in (list(g) for _, g in itertools.groupby(_cycles_by_length(p, 0), len))
     ]
-    listings = [
+    listings = (
         kernel.embed(itertools.chain((0,), *parts))
         for parts in itertools.product(*per_length)
-    ]
-    return tuple((kernel.scatter(listing, kernel.ident)[:n], listing) for listing in listings)
+    )
+    return [(kernel.scatter(listing, kernel.ident)[:n], listing) for listing in listings]
 
 
-def _orbit_slice(rows, p) -> Iterator[bytes]:
+def _orbit_slice(rows, p, listings) -> Iterator[bytes]:
     """Yield every relabeling of the table whose row 0 is p, as flat
     bytes, one listing at a time, so memory holds one table and not the
-    slice.
+    slice; listings are _listings(p).
 
     rows are permutations fixing their own point, at most 256 of them,
     and p fixes 0.  A relabeling sigma carries row x to sigma s_x
@@ -379,7 +377,7 @@ def _orbit_slice(rows, p) -> Iterator[bytes]:
         source = kernel.embed(itertools.chain((x,), *cycles))
         position = kernel.scatter(source, kernel.ident)
         reindexed = [gather(gather(source, stored[v]), position) for v in source[:n]]
-        for where, listing in _listings(p):
+        for where, listing in listings:
             yield b"".join(map(kernel.after(where), map(reindexed.__getitem__, where))).translate(listing)
 
 
@@ -438,7 +436,7 @@ def canonical_table(q) -> tuple[tuple[int, ...], ...]:
         raise ResourceLimitError(
             f"canonical_table would compare {size} relabelings, over the bound of {CANONICAL_SLICE_CAP}"
         )
-    return _unflatten(min(_orbit_slice(rows, p)), n)
+    return _unflatten(min(_orbit_slice(rows, p, _listings(p))), n)
 
 
 def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -486,7 +484,7 @@ def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
         if t in seen:
             return
         table = _unflatten(t, n)
-        seen.update(_orbit_slice(table, table[0]))
+        seen.update(_orbit_slice(table, table[0], listings))
         found.append(table)
 
     def backtrack(k, choices):
@@ -504,6 +502,7 @@ def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
     for floor in sorted({key for key, _ in row_choices[0]}):
         first = next(r for key, r in row_choices[0] if key == floor)
+        listings = _listings(tuple(first[:n]))  # row 0 of every table this pass visits
         choices = [[first]] + [
             [r for key, r in row_choices[x] if key >= floor] for x in points[1:]
         ]

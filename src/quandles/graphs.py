@@ -89,23 +89,15 @@ def _adjacency_masks(g: SimpleGraph) -> list[int]:
     return masks
 
 
-def _vertex_profiles(masks: list[int]) -> list[tuple]:
-    """(degree, sorted neighbour degrees) of each vertex, off its mask."""
-    degs = [m.bit_count() for m in masks]
-    neighbour_degs = (itertools.compress(degs, map("1".__eq__, reversed(bin(m)))) for m in masks)
-    return [(d, tuple(sorted(nd))) for d, nd in zip(degs, neighbour_degs)]
-
-
 def graph_automorphisms(g: SimpleGraph) -> PermGroup:
     """The automorphism group, as a strong generating set.
 
     Found by the search of quandles.search on the adjacency relation,
-    with vertices pruned by degree and neighbor-degree multiset, within
-    its default node budget; the stabilizer chain is read off the
-    search's base, and no element is listed.
+    with vertices pruned by degree (the colour counts of an adjacency
+    row), within its default node budget; the stabilizer chain is read
+    off the search's base, and no element is listed.
     """
-    masks = _adjacency_masks(g)
-    base, gens = automorphism_generators(graph_structure(masks, _vertex_profiles(masks)))
+    base, gens = automorphism_generators(graph_structure(_adjacency_masks(g)))
     return PermGroup._from_base(g.vertex_count, base, gens)
 
 
@@ -156,9 +148,9 @@ def parity_difference(n: int, k: int) -> SimpleGraph:
     return _subset_graph(n, k, lambda v, w: len(v - w) % 2 == 1)
 
 
-def _require_positive(n):
+def _require_positive(n, what="vertex count"):
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f"vertex count must be a positive integer, got {n!r}")
+        raise InputError(f"{what} must be a positive integer, got {n!r}")
 
 
 def _subset_graph(n, k, joined):

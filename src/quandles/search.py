@@ -1,10 +1,8 @@
 """Backtracking search for isomorphisms and automorphisms of finite
 relational structures.
 
-The search sees a structure on points 0..n-1 as three things:
+The search sees a structure on points 0..n-1 as two things:
 
-- an invariant per point: x may only map to a point with the same
-  invariant;
 - a colour per ordered pair of points, itself an isomorphism invariant:
   once x maps to y, any other point a may only map to a point b with
   colour(y, b) == colour(x, a);
@@ -12,9 +10,15 @@ The search sees a structure on points 0..n-1 as three things:
   images y and b, the image of table[x][a] is forced to be table[y][b],
   and that of table[a][x] to be table[b][y].
 
+An isomorphism permutes each colour row, so the number of pairs of each
+colour in x's row is an invariant of x, read off the colour rows as
+vertex invariants are read off a coloured graph: x may only map to a
+point with the same counts.
+
 A graph is its adjacency relation (colour 1 on an edge) with no
-operation.  A quandle's colour records whether s_x fixes a, whether s_a
-fixes x and whether s_x = s_a, and its table is the operation.
+operation; its counts are the degree.  A quandle's colour records
+whether s_x fixes a, whether s_a fixes x and whether s_x = s_a, and its
+table is the operation.
 
 The candidate images of every unassigned point are kept as a bitmask
 and narrowed at each assignment.  The search branches on the unassigned
@@ -33,7 +37,6 @@ the stabilizer chain off it without Schreier-Sims.
 from __future__ import annotations
 
 from .errors import ResourceLimitError
-from .permgroup import _cycle_type
 
 # Colours are below 8: three bits for a quandle, one for a graph.
 PALETTE = 8
@@ -42,20 +45,19 @@ DEFAULT_NODE_BUDGET = 10**5
 
 
 class Structure:
-    """Points with invariants, colours of ordered pairs and an optional table."""
+    """Points with colours of ordered pairs and an optional table."""
 
-    __slots__ = ("size", "invariants", "colours", "table")
+    __slots__ = ("size", "colours", "table")
 
-    def __init__(self, invariants, colours, table=None):
-        self.size = len(invariants)
-        self.invariants = invariants
+    def __init__(self, colours, table=None):
+        self.size = len(colours)
         self.colours = colours
         self.table = table
 
 
 def quandle_structure(rows) -> Structure:
-    """The quandle with these rows: row cycle types, fixing and equal-row
-    colours, and the table as the operation."""
+    """The quandle with these rows: fixing and equal-row colours, and the
+    table as the operation."""
     n = len(rows)
     row_ids = {}
     ids = [row_ids.setdefault(r, len(row_ids)) for r in rows]
@@ -66,17 +68,22 @@ def quandle_structure(rows) -> Structure:
         )
         for x, (rx, ix) in enumerate(zip(rows, ids))
     ]
-    return Structure([_cycle_type(r) for r in rows], colours, rows)
+    return Structure(colours, rows)
 
 
-def graph_structure(masks, invariants) -> Structure:
-    """The graph with these adjacency bitmasks and vertex invariants; a
-    colour row is its mask's binary digits, lowest first, as bytes 0/1."""
+def graph_structure(masks) -> Structure:
+    """The graph with these adjacency bitmasks; a colour row is its
+    mask's binary digits, lowest first, as bytes 0/1."""
     n = len(masks)
-    return Structure(invariants, [
+    return Structure([
         bin(m)[:1:-1].ljust(n, "0").encode().replace(b"0", b"\0").replace(b"1", b"\1")
         for m in masks
     ])
+
+
+def _colour_counts(s: Structure) -> list[tuple[int, ...]]:
+    """The number of pairs of each colour in each point's colour row."""
+    return [tuple(map(row.count, range(PALETTE))) for row in s.colours]
 
 
 def _find(parent, x):
@@ -132,13 +139,14 @@ class _Search:
             for b, c in enumerate(row):
                 m[c] |= 1 << b
             self.masks.append(m)
-        by_invariant = {}
-        for y, v in enumerate(s2.invariants):
-            by_invariant[v] = by_invariant.get(v, 0) | 1 << y
-        self.domains = [by_invariant.get(v, 0) for v in s1.invariants]
+        counts = _colour_counts(s2)
+        by_counts = {}
+        for y, v in enumerate(counts):
+            by_counts[v] = by_counts.get(v, 0) | 1 << y
+        self.domains = [by_counts.get(v, 0) for v in (counts if s1 is s2 else _colour_counts(s1))]
 
     def start(self):
-        """The empty partial map: every point may go to any point with its invariant."""
+        """The empty partial map: every point may go to any point with its colour counts."""
         return [-1] * self.n, self.domains[:]
 
     def node(self):
@@ -217,9 +225,9 @@ class _Search:
 
 def isomorphisms(s1: Structure, s2: Structure, node_budget=DEFAULT_NODE_BUDGET):
     """Yield every isomorphism s1 -> s2 as an image tuple; none, with no
-    search, when the multisets of point invariants differ.  Exceeding
+    search, when the multisets of colour counts differ.  Exceeding
     node_budget raises ResourceLimitError."""
-    if sorted(s1.invariants) != sorted(s2.invariants):
+    if sorted(_colour_counts(s1)) != sorted(_colour_counts(s2)):
         return
     search = _Search(s1, s2, node_budget)
     yield from search.completions(*search.start())

@@ -33,10 +33,12 @@ from quandles import (
     group_chain,
     inner_group,
     is_homomorphism,
+    iter_isomorphisms,
     property_report,
     to_graph,
     trivial,
 )
+from quandles import search
 from quandles.core import _first_tables
 from quandles.search import DEFAULT_NODE_BUDGET
 
@@ -330,6 +332,39 @@ def test_every_class_up_to_order_7_is_searched_within_the_default_budget():
     for n in range(1, 8):
         for rows in _first_tables(n):
             automorphism_group(FiniteQuandle(rows))
+
+
+def test_search_work_does_not_grow(monkeypatch):
+    # Node counts are the search's regression signal: none of these may
+    # grow.  The library keeps no node count, so count calls to
+    # _Search.node.
+    nodes = 0
+    node = search._Search.node
+
+    def counted(self):
+        nonlocal nodes
+        nodes += 1
+        node(self)
+
+    monkeypatch.setattr(search._Search, "node", counted)
+
+    def count(run, *args):
+        nonlocal nodes
+        nodes = 0
+        run(*args)
+        return nodes
+
+    assert count(automorphism_group, aknn(4, 8)) <= 4021
+    assert count(automorphism_group, from_graph(graphs.cycle(60))) <= 2012
+    assert count(automorphism_group, trivial(40)) <= 859
+    for graph, most in (
+        (graphs.parity_difference(8, 4), 1404),
+        (graphs.johnson(5, 2), 43),
+        (graphs.star(9), 44),
+        (graphs.cycle(30), 89),
+    ):
+        assert count(graphs.graph_automorphisms, graph) <= most
+    assert count(list, iter_isomorphisms(dihedral(5), trivial(5))) == 0
 
 
 def is_permutation(value):

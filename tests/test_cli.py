@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandles import aknn, dihedral, from_graph, graphs, quandle_to_dict, trivial
+from quandles import aknn, analysis, dihedral, from_graph, graphs, quandle_to_dict, trivial
 from quandles.cli import _dump, main
 
 
@@ -152,6 +152,24 @@ def test_check_unknown_property(capsys, tmp_path):
     path = write_json(tmp_path, "q.json", quandle_to_dict(dihedral(3)))
     code, _, err = run(capsys, "check", path, "--props", "shiny")
     assert code == 2
+
+
+def test_check_validates_its_arguments_before_any_work(capsys, tmp_path, monkeypatch):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("property_report ran")
+
+    monkeypatch.setattr(analysis, "property_report", no_analysis)
+    path = write_json(tmp_path, "q.json", quandle_to_dict(dihedral(3)))
+    code, out, err = run(capsys, "check", path, "--props", "nope")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown property 'nope'; choose from ")
+    # The budget is read before the file: a missing file is not reached.
+    monkeypatch.setenv("QUANDLES_NODE_BUDGET", "zero")
+    code, out, err = run(capsys, "check", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: QUANDLES_NODE_BUDGET must be an integer")
 
 
 def test_check_decides_homogeneity_above_sixteen_points(capsys, tmp_path):

@@ -18,7 +18,7 @@ from quandles.graphs import (
     star,
     to_dot,
 )
-from quandles.graphs import _adjacency_masks, _vertex_profiles
+from quandles.graphs import _adjacency_masks
 from quandles.search import graph_structure
 
 from helpers import (
@@ -173,18 +173,6 @@ def random_graphs(seed):
     return out
 
 
-def test_vertex_profiles_match_networkx():
-    rng = random.Random(41)
-    cases = [SimpleGraph(n, random_edge_set(rng, n, p)) for n, p in ((1, 0.5), (9, 0.5), (40, 0.3), (70, 0.1))]
-    for g in cases + [empty(4), star(6), johnson(5, 2)]:
-        h = nx_graph(g)
-        expected = [
-            (h.degree(v), tuple(sorted(h.degree(w) for w in h.neighbors(v))))
-            for v in range(g.vertex_count)
-        ]
-        assert _vertex_profiles(_adjacency_masks(g)) == expected
-
-
 def test_colour_rows_are_the_mask_bits():
     rng = random.Random(43)
     cases = [_adjacency_masks(SimpleGraph(n, random_edge_set(rng, n, p))) for n, p in ((9, 0.5), (40, 0.3), (300, 0.3))]
@@ -192,7 +180,7 @@ def test_colour_rows_are_the_mask_bits():
         cases += [[0] * n, [(1 << n) - 1] * n]
     for masks in cases:
         n = len(masks)
-        rows = graph_structure(masks, [0] * n).colours
+        rows = graph_structure(masks).colours
         assert rows == [bytes(m >> a & 1 for a in range(n)) for m in masks]
 
 
