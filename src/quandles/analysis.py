@@ -3,8 +3,6 @@ predicates, graph reconstruction, and the small-order census."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from ._record import Record
 from .constructions import discrete_torus
 from .core import (
@@ -225,9 +223,17 @@ def property_report(q: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET)
     )
 
 
-class GraphReconstruction(NamedTuple):
-    graph: SimpleGraph
-    relabeling: PointMap
+class GraphReconstruction(Record):
+    """The graph that to_graph rebuilds and the point relabeling onto its
+    quandle; unpacks as graph, relabeling."""
+
+    __slots__ = ("graph", "relabeling")
+
+    def __init__(self, graph: SimpleGraph, relabeling: PointMap):
+        self._set(graph, relabeling)
+
+    def __iter__(self):
+        return iter(self._fields())
 
 
 def to_graph(q: FiniteQuandle) -> GraphReconstruction:

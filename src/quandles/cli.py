@@ -74,24 +74,26 @@ _encode = json.JSONEncoder(sort_keys=True).encode
 def _dump(data) -> str:
     """json.dumps(data, sort_keys=True), byte for byte.
 
-    A document with a "table" list, a quandle, is written one row at a
-    time, each appended to one str that CPython grows in place.  On
-    Python 3.11 json.dumps holds one str per token until the document is
-    done, about 12 times the output for a 252-point table, and a join
-    would hold every row's text beside the result.
+    In a dict, each list or tuple value (a table's rows, a graph's
+    edges) is written one item at a time, each appended to one str that
+    CPython grows in place.  On Python 3.11 json.dumps holds one str per
+    token until the document is done, about 12 times the output for a
+    252-point table, and a join would hold every item's text beside the
+    result.
     """
-    if not (isinstance(data, dict) and isinstance(data.get("table"), (list, tuple))):
+    if not isinstance(data, dict):
         return _encode(data)
     text = "{"
     for i, key in enumerate(sorted(data)):
         text += (", " if i else "") + _encode(key) + ": "
-        if key == "table":
+        value = data[key]
+        if isinstance(value, (list, tuple)):
             text += "["
-            for j, row in enumerate(data[key]):
-                text += (", " if j else "") + _encode(row)
+            for j, item in enumerate(value):
+                text += (", " if j else "") + _encode(item)
             text += "]"
         else:
-            text += _encode(data[key])
+            text += _encode(value)
     text += "}"
     return text
 
@@ -214,13 +216,11 @@ def cmd_to_graph(args) -> int:
             fh.write(graphs.to_dot(graph))
         print(f"dot -> {args.dot}")
     if args.map:
-        with open(args.map, "w", encoding="utf-8") as fh:
-            fh.write(_dump({
-                "domain_size": relabeling.domain_size,
-                "codomain_size": relabeling.codomain_size,
-                "images": list(relabeling.images),
-            }) + "\n")
-        print(f"relabeling -> {args.map}")
+        _write_json({
+            "domain_size": relabeling.domain_size,
+            "codomain_size": relabeling.codomain_size,
+            "images": relabeling.images,
+        }, args.map, "relabeling")
     summary = f"graph: {graph.vertex_count} vertices, {len(graph.edges)} edges"
     _write_json(graphs.graph_to_dict(graph), args.out, summary)
     return 0

@@ -185,7 +185,7 @@ def _graph_quandle_rows(masks) -> list[list[int]]:
     return table
 
 
-class CocycleTable:
+class CocycleTable(Record):
     """Candidate 2-cocycle: a square table of values mod m >= 2.
 
     This is only a well-shaped table; whether it actually is a cocycle
@@ -210,22 +210,11 @@ class CocycleTable:
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise InputError(f"cocycle entry {v!r} is not an integer")
-        self.modulus = modulus
-        self.values = tuple(tuple(v % modulus for v in row) for row in rows)
+        self._set(modulus, tuple(tuple(v % modulus for v in row) for row in rows))
 
     @property
     def base_size(self):
         return len(self.values)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CocycleTable)
-            and self.modulus == other.modulus
-            and self.values == other.values
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.values))
 
     def __repr__(self):
         return f"CocycleTable(base_size={self.base_size}, modulus={self.modulus})"

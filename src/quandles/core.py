@@ -151,14 +151,15 @@ def _check_axioms(rows) -> AxiomReport:
     )
 
 
-class FiniteQuandle:
+class FiniteQuandle(Record):
     """Immutable finite quandle; table[x][y] is the symmetry at x applied to y.
 
     Labels are display-only metadata and never enter any algorithm;
     equality and hashing use the table alone.
     """
 
-    __slots__ = ("size", "table", "labels")
+    __slots__ = ("table", "labels")
+    _compared = ("table",)
 
     def __init__(self, table, labels=None):
         rows = _as_rows(table)
@@ -174,15 +175,11 @@ class FiniteQuandle:
                 f"table is not a quandle: first violation {report.first_violation}",
                 report,
             )
-        self.size = len(rows)
-        self.table = rows
-        self.labels = labels
+        self._set(rows, labels)
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteQuandle) and self.table == other.table
-
-    def __hash__(self):
-        return hash(self.table)
+    @property
+    def size(self) -> int:
+        return len(self.table)
 
     def __repr__(self):
         return f"FiniteQuandle(size={self.size})"

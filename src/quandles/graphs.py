@@ -9,15 +9,17 @@ from __future__ import annotations
 
 import itertools
 
+from ._record import Record
 from .errors import InputError
 from .permgroup import PermGroup
 from .search import automorphism_generators, graph_structure
 
 
-class SimpleGraph:
-    """Undirected loop-free graph on vertices 0..n-1."""
+class SimpleGraph(Record):
+    """Undirected loop-free graph on vertices 0..n-1; labels are display-only."""
 
     __slots__ = ("vertex_count", "edges", "labels")
+    _compared = ("vertex_count", "edges")
 
     def __init__(self, vertex_count, edges=(), labels=None):
         if not isinstance(vertex_count, int) or isinstance(vertex_count, bool) or vertex_count < 0:
@@ -41,19 +43,7 @@ class SimpleGraph:
             labels = tuple(str(s) for s in labels)
             if len(labels) != vertex_count:
                 raise InputError(f"{len(labels)} labels for {vertex_count} vertices")
-        self.vertex_count = vertex_count
-        self.edges = frozenset(normalized)
-        self.labels = labels
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SimpleGraph)
-            and self.vertex_count == other.vertex_count
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.vertex_count, self.edges))
+        self._set(vertex_count, frozenset(normalized), labels)
 
     def __repr__(self):
         return f"SimpleGraph(vertices={self.vertex_count}, edges={len(self.edges)})"
@@ -166,7 +156,8 @@ def _subset_graph(n, k, joined):
 
 
 def graph_to_dict(g: SimpleGraph) -> dict:
-    return {"vertices": g.vertex_count, "edges": [list(e) for e in g.edge_list()]}
+    """The graph's JSON document; edges are the sorted (u, v) tuples."""
+    return {"vertices": g.vertex_count, "edges": g.edge_list()}
 
 
 def graph_from_dict(d) -> SimpleGraph:
@@ -180,7 +171,7 @@ def graph_from_dict(d) -> SimpleGraph:
     if not isinstance(edges, list):
         raise InputError('"edges" must be a list of pairs')
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise InputError(f"edge {e!r} is not a pair [u, v]")
         u, v = e
         if not all(isinstance(x, int) and not isinstance(x, bool) for x in (u, v)):

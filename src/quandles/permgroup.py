@@ -322,10 +322,16 @@ class PermGroup:
             if g.images not in seen:
                 seen.add(g.images)
                 gens.append(g)
-        self.degree = degree
-        self.generators = tuple(gens)
-        self._base = None
-        self._chain = None
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "generators", tuple(gens))
+
+    # Read-only like a Record, but not equal by its generators: equal
+    # groups can have different generating sets.  The base and chain
+    # are set once, when first known.
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
+    _base = None
+    _chain = None
 
     @classmethod
     def _from_base(cls, degree, base, generators) -> "PermGroup":
@@ -333,7 +339,7 @@ class PermGroup:
         the generators that fix b_1..b_{i-1} reach the whole orbit of b_i
         under the group they generate, at every i."""
         group = cls(degree, generators)
-        group._base = tuple(base)
+        object.__setattr__(group, "_base", tuple(base))
         return group
 
     def __repr__(self):
@@ -344,9 +350,10 @@ class PermGroup:
             kernel = _Kernel(self.degree)
             gens = [kernel.embed(g.images) for g in self.generators]
             if self._base is None:
-                self._chain = kernel, _schreier_sims(kernel, gens)
+                chain = _schreier_sims(kernel, gens)
             else:
-                self._chain = kernel, _known_base_chain(kernel, self._base, gens)
+                chain = _known_base_chain(kernel, self._base, gens)
+            object.__setattr__(self, "_chain", (kernel, chain))
         return self._chain
 
     def order(self) -> int:

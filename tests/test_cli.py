@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -319,6 +320,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_import_without_site_loads_neither_typing_nor_dataclasses():
+    # With site switched off (python -S) nothing but the package can have
+    # loaded them.  json and argparse import re, so re is not checked.
+    code = (
+        "import sys, quandles.cli; "
+        "assert not {'typing', 'dataclasses'} & set(sys.modules), sorted(sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # ------------------------------------------------------------- JSON writer
 
 JSON_KEYS = st.sampled_from(["table", "size", "labels", "\"", "é"]) | st.text()
@@ -332,15 +346,13 @@ JSON_VALUES = st.recursive(
     max_leaves=12,
 )
 ROWS = st.lists(st.integers(0, 300), max_size=6) | st.tuples(st.integers(), st.integers()) | JSON_VALUES
-TABLE_DOCUMENTS = st.builds(
-    lambda rest, table: {**rest, "table": table},
-    st.dictionaries(JSON_KEYS, JSON_VALUES, max_size=4),
-    st.lists(ROWS, max_size=1) | st.lists(ROWS, max_size=5) | st.tuples(ROWS, ROWS),
-)
+ITEM_LISTS = st.lists(ROWS, max_size=1) | st.lists(ROWS, max_size=5) | st.tuples(ROWS, ROWS)
+# Objects whose values are often lists: a table's rows, a graph's edges.
+DOCUMENTS = st.dictionaries(JSON_KEYS, ITEM_LISTS | JSON_VALUES, max_size=5)
 
 
 @settings(max_examples=300, deadline=None)
-@given(TABLE_DOCUMENTS | JSON_VALUES)
+@given(DOCUMENTS | JSON_VALUES)
 def test_dump_is_sorted_key_json_dumps(data):
     assert _dump(data) == json.dumps(data, sort_keys=True)
 
@@ -357,3 +369,18 @@ def test_writing_a_table_holds_one_row_at_a_time():
         tracemalloc.stop()
     assert text == json.dumps(quandle_to_dict(q), sort_keys=True)
     assert peak < 2 * len(text)
+
+
+def test_writing_a_graph_holds_one_edge_at_a_time():
+    # One json.dumps over a copied edge list peaked at 24 times the output.
+    rng = random.Random(5)
+    pairs = [(u, v) for u in range(126) for v in range(u + 1, 126)]
+    g = graphs.SimpleGraph(126, rng.sample(pairs, 4786))
+    tracemalloc.start()
+    try:
+        text = _dump(graphs.graph_to_dict(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps({"vertices": 126, "edges": [list(e) for e in g.edge_list()]}, sort_keys=True)
+    assert peak < 3 * len(text)

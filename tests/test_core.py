@@ -501,11 +501,21 @@ def test_enumeration_output_is_canonical_and_valid():
 
 
 def test_enumeration_reps_pairwise_nonisomorphic():
-    for n in (4, 5):
+    # Each class against a seeded relabeling of every class of its order:
+    # only a class and its own relabeling may be joined by a map, and the
+    # map the search returns must be a bijective homomorphism.
+    rng = random.Random(47)
+    for n in (4, 5, 6):
         qs = enumerate_quandles(n)
-        for i in range(len(qs)):
-            for j in range(i + 1, len(qs)):
-                assert find_isomorphism(qs[i], qs[j]) is None
+        relabeled = [FiniteQuandle(relabeled_table(q.table, rng.sample(range(n), n))) for q in qs]
+        for i, q in enumerate(qs):
+            for j, r in enumerate(relabeled):
+                f = find_isomorphism(q, r)
+                if i != j:
+                    assert f is None, (n, i, j)
+                else:
+                    assert f is not None and is_homomorphism(f, q, r), (n, i)
+                    assert sorted(f.images) == list(range(n))
 
 
 def test_enumeration_rejects_out_of_range():

@@ -361,6 +361,17 @@ def test_chains_above_256_points_survive_pickle_and_deepcopy():
         assert Permutation((1, 0) + tuple(range(2, degree))) not in twin
 
 
+def test_groups_refuse_assignment_and_deletion():
+    group = inner_group(dihedral(5))
+    order = group.order()
+    for name in ("degree", "generators", "_base", "_chain"):
+        with pytest.raises(AttributeError):
+            setattr(group, name, getattr(group, name))
+        with pytest.raises(AttributeError):
+            delattr(group, name)
+    assert group.order() == order and group.orbits() == ((0, 1, 2, 3, 4),)
+
+
 # ------------------------------------------------------------------- orbits
 
 def test_no_generators_gives_singleton_orbits():

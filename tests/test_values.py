@@ -1,8 +1,10 @@
 """Value semantics of the package's record types.
 
 Each record is built positionally and by keyword with its defaults,
-compares and hashes by class and fields, prints as Name(field=value,
-...), refuses assignment, and validates its input with fixed messages.
+compares and hashes by class and fields (quandles and graphs ignore
+their display labels), prints as Name(field=value, ...) or a short
+summary, refuses assignment, and validates its input with fixed
+messages.
 """
 
 import copy
@@ -14,6 +16,9 @@ from quandles import (
     AxiomReport,
     Characterization,
     CocycleCheck,
+    CocycleTable,
+    FiniteQuandle,
+    GraphReconstruction,
     GroupChain,
     InputError,
     OrderCensus,
@@ -21,8 +26,11 @@ from quandles import (
     PointMap,
     PropertyReport,
     SignedSubset,
+    SimpleGraph,
     dihedral,
+    from_graph,
     group_chain,
+    to_graph,
     trivial,
 )
 from quandles.analysis import CensusSurvivor
@@ -31,6 +39,8 @@ CHAIN = group_chain(dihedral(3))
 GROUPS = (CHAIN.displacement, CHAIN.even_inner, CHAIN.inner, CHAIN.aut)
 T1 = trivial(1)
 PROPS = (True, None, False, True, False, True, False, ((0, 1), (2,)))
+P2 = SimpleGraph(2, [(0, 1)])
+IDENTITY4 = PointMap(4, 4, (0, 1, 2, 3))
 
 # class, field names, two argument tuples differing in one field, repr of the first
 RECORDS = [
@@ -128,6 +138,35 @@ RECORDS = [
         "OrderCensus(order=1, class_count=1, "
         "survivors=(CensusSurvivor(quandle=FiniteQuandle(size=1), torus_orders=(1,)),))",
     ),
+    (
+        FiniteQuandle,
+        ("table", "labels"),
+        (((0, 2, 1), (2, 1, 0), (1, 0, 2)), ("a", "b", "c")),
+        (((0, 1, 2), (0, 1, 2), (0, 1, 2)), ("a", "b", "c")),
+        "FiniteQuandle(size=3)",
+    ),
+    (
+        SimpleGraph,
+        ("vertex_count", "edges", "labels"),
+        (3, frozenset({(0, 1)}), ("x", "y", "z")),
+        (3, frozenset({(1, 2)}), ("x", "y", "z")),
+        "SimpleGraph(vertices=3, edges=1)",
+    ),
+    (
+        CocycleTable,
+        ("modulus", "values"),
+        (3, ((0, 1), (2, 0))),
+        (3, ((0, 1), (1, 0))),
+        "CocycleTable(base_size=2, modulus=3)",
+    ),
+    (
+        GraphReconstruction,
+        ("graph", "relabeling"),
+        (P2, IDENTITY4),
+        (P2, PointMap(4, 4, (1, 0, 2, 3))),
+        "GraphReconstruction(graph=SimpleGraph(vertices=2, edges=1), "
+        "relabeling=PointMap(domain_size=4, codomain_size=4, images=(0, 1, 2, 3)))",
+    ),
 ]
 IDS = [r[0].__name__ for r in RECORDS]
 
@@ -150,13 +189,46 @@ def test_equality_and_hash_go_by_class_and_fields(cls, fields, args, other, text
         with pytest.raises(TypeError):
             hash(a)
     else:
-        assert hash(a) == hash(b) == hash(args)
+        compared = cls._compared or fields
+        assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in compared))
 
 
 def test_records_with_equal_fields_differ_across_classes():
     assert CocycleCheck(True, None) != AxiomReport(True, None, None)
     assert CocycleCheck(True) != CensusSurvivor(True, None)
     assert Permutation((0, 1)) != PointMap(2, 2, (0, 1))
+    assert GraphReconstruction(P2, IDENTITY4) != (P2, IDENTITY4)
+
+
+def test_quandles_and_graphs_compare_without_their_labels():
+    table = trivial(2).table
+    pairs = [
+        (FiniteQuandle(table, ("a", "b")), FiniteQuandle(table)),
+        (SimpleGraph(2, [(0, 1)], ("u", "v")), P2),
+    ]
+    for labelled, plain in pairs:
+        assert labelled == plain and hash(labelled) == hash(plain)
+        assert labelled.labels and plain.labels is None
+        assert {labelled: 1}[plain] == 1
+
+
+def test_quandle_size_is_read_off_the_table():
+    q = dihedral(5)
+    assert q.size == len(q.table) == 5
+    with pytest.raises(AttributeError):
+        q.size = 6
+
+
+def test_graph_reconstruction_unpacks_but_is_no_tuple():
+    r = to_graph(from_graph(P2))
+    graph, relabeling = r
+    assert (graph, relabeling) == (r.graph, r.relabeling)
+    assert list(r) == [graph, relabeling]
+    for use in (lambda: r[0], lambda: len(r)):
+        with pytest.raises(TypeError):
+            use()
+    for name in ("_asdict", "_replace"):
+        assert not hasattr(r, name)
 
 
 @pytest.mark.parametrize("cls, fields, args, other, text", RECORDS, ids=IDS)
@@ -181,6 +253,8 @@ def test_copies_and_pickles_keep_class_and_fields(cls, fields, args, other, text
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(b) is cls
         assert repr(b) == text
+        if cls is not GroupChain:  # its groups compare by identity
+            assert b == a and tuple(getattr(b, f) for f in fields) == args
 
 
 def test_defaults():
