@@ -113,6 +113,12 @@ def _noncommuting_composites(q: FiniteQuandle, *, inverse: bool):
     return labels[pair[0]] + labels[pair[1]]
 
 
+# The property flags of a PropertyReport, in report order.
+PROPERTY_NAMES = (
+    "connected", "homogeneous", "flat", "medial", "crossed", "involutive", "abelian_inn",
+)
+
+
 class PropertyReport(Record):
     """All property flags of one quandle, with counterexample witnesses.
 
@@ -122,17 +128,7 @@ class PropertyReport(Record):
     it defaults to a fresh empty dict.
     """
 
-    __slots__ = (
-        "connected",
-        "homogeneous",
-        "flat",
-        "medial",
-        "crossed",
-        "involutive",
-        "abelian_inn",
-        "components",
-        "witnesses",
-    )
+    __slots__ = PROPERTY_NAMES + ("components", "witnesses")
 
     def __init__(
         self,
@@ -159,17 +155,10 @@ class PropertyReport(Record):
         )
 
     def to_dict(self) -> dict:
-        return {
-            "connected": self.connected,
-            "homogeneous": self.homogeneous,
-            "flat": self.flat,
-            "medial": self.medial,
-            "crossed": self.crossed,
-            "involutive": self.involutive,
-            "abelian_inn": self.abelian_inn,
-            "components": [list(c) for c in self.components],
-            "witnesses": {k: list(v) for k, v in sorted(self.witnesses.items())},
-        }
+        out = {name: getattr(self, name) for name in PROPERTY_NAMES}
+        out["components"] = [list(c) for c in self.components]
+        out["witnesses"] = {k: list(v) for k, v in sorted(self.witnesses.items())}
+        return out
 
 
 def property_report(q: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET) -> PropertyReport:

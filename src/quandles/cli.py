@@ -21,22 +21,13 @@ import os
 import sys
 
 from . import analysis, constructions, core, graphs, search
+from .analysis import PROPERTY_NAMES
 from .errors import (
     BadComponentSizeError,
     InputError,
     NotCrossedError,
     ResourceLimitError,
     VerificationError,
-)
-
-PROPERTY_NAMES = (
-    "connected",
-    "homogeneous",
-    "flat",
-    "medial",
-    "crossed",
-    "involutive",
-    "abelian_inn",
 )
 
 
@@ -112,65 +103,49 @@ def _load_quandle(path: str) -> core.FiniteQuandle:
     return core.quandle_from_dict(_read_json(path))
 
 
-def _load_graph(path: str) -> graphs.SimpleGraph:
-    return graphs.graph_from_dict(_read_json(path))
+def _graph_quandle(path: str) -> core.FiniteQuandle:
+    return constructions.from_graph(graphs.graph_from_dict(_read_json(path)))
 
 
-def _int_args(values, what):
-    out = []
-    for v in values:
-        try:
-            out.append(int(v))
-        except ValueError:
-            raise InputError(f"{what} must be integers, got {v!r}") from None
-    return out
+def _extension(qpath: str, cpath: str) -> core.FiniteQuandle:
+    base = _load_quandle(qpath)
+    phi = constructions.cocycle_from_dict(_read_json(cpath))
+    return constructions.cocycle_extension(base, phi)
+
+
+# kind -> (usage, label, builder).  A usage ending in "..." takes one or
+# more parameters.  They are integers, called label in errors, or file
+# paths when label is None.  Builders look their constructions up at
+# call time, so a wrapper installed on the module later is seen.
+_CONSTRUCTORS = {
+    "trivial": ("N", "size", lambda n: constructions.trivial(n)),
+    "dihedral": ("R", "order", lambda r: constructions.dihedral(r)),
+    "axis": ("N", "dimension", lambda n: constructions.axis_quandle(n)),
+    "aknn": ("K N", "parameters", lambda k, n: constructions.aknn(k, n)),
+    "graph": ("FILE", None, _graph_quandle),
+    "torus": ("dihedral order...", "orders", lambda *rs: constructions.discrete_torus(rs)),
+    "extension": ("QUANDLE COCYCLE", None, _extension),
+}
 
 
 def cmd_construct(args) -> int:
-    kind = args.kind
-    params = args.params
-    if kind == "trivial":
-        (n,) = _int_args(_expect(params, 1, "trivial N"), "size")
-        q = constructions.trivial(n)
-        name = f"trivial({n})"
-    elif kind == "dihedral":
-        (r,) = _int_args(_expect(params, 1, "dihedral R"), "order")
-        q = constructions.dihedral(r)
-        name = f"dihedral({r})"
-    elif kind == "axis":
-        (n,) = _int_args(_expect(params, 1, "axis N"), "dimension")
-        q = constructions.axis_quandle(n)
-        name = f"axis({n})"
-    elif kind == "aknn":
-        k, n = _int_args(_expect(params, 2, "aknn K N"), "parameters")
-        q = constructions.aknn(k, n)
-        name = f"aknn({k},{n})"
-    elif kind == "graph":
-        (path,) = _expect(params, 1, "graph FILE")
-        q = constructions.from_graph(_load_graph(path))
-        name = f"graph({path})"
-    elif kind == "torus":
+    kind, params = args.kind, args.params
+    usage, label, build = _CONSTRUCTORS[kind]
+    if usage.endswith("..."):
         if not params:
-            raise InputError("torus needs at least one dihedral order")
-        orders = _int_args(params, "orders")
-        q = constructions.discrete_torus(orders)
-        name = "torus(" + ",".join(map(str, orders)) + ")"
-    elif kind == "extension":
-        qpath, cpath = _expect(params, 2, "extension QUANDLE COCYCLE")
-        base = _load_quandle(qpath)
-        phi = constructions.cocycle_from_dict(_read_json(cpath))
-        q = constructions.cocycle_extension(base, phi)
-        name = f"extension({qpath},{cpath})"
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown constructor {kind!r}")
+            raise InputError(f"{kind} needs at least one {usage[:-3]}")
+    elif len(params) != len(usage.split()):
+        raise InputError(f"expected `{kind} {usage}`, got {len(params)} parameter(s)")
+    values = []
+    for v in params:
+        try:
+            values.append(v if label is None else int(v))
+        except ValueError:
+            raise InputError(f"{label} must be integers, got {v!r}") from None
+    q = build(*values)
+    name = f"{kind}({','.join(map(str, values))})"
     _write_json(core.quandle_to_dict(q), args.out, f"{name}: {q.size} points")
     return 0
-
-
-def _expect(params, count, usage):
-    if len(params) != count:
-        raise InputError(f"expected `{usage}`, got {len(params)} parameter(s)")
-    return params
 
 
 def cmd_check(args) -> int:
@@ -227,8 +202,7 @@ def cmd_to_graph(args) -> int:
 
 
 def cmd_from_graph(args) -> int:
-    g = _load_graph(args.file)
-    q = constructions.from_graph(g)
+    q = _graph_quandle(args.file)
     _write_json(core.quandle_to_dict(q), args.out, f"quandle: {q.size} points")
     return 0
 
@@ -266,10 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a quandle and emit its JSON")
-    p.add_argument(
-        "kind",
-        choices=["trivial", "dihedral", "axis", "aknn", "graph", "torus", "extension"],
-    )
+    p.add_argument("kind", choices=_CONSTRUCTORS)
     p.add_argument("params", nargs="*")
     p.add_argument("--out", help="write the quandle JSON here instead of stdout")
     p.set_defaults(func=cmd_construct)
@@ -308,10 +279,7 @@ def main(argv=None) -> int:
     except (NotCrossedError, BadComponentSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InputError, ResourceLimitError, VerificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError, ResourceLimitError, VerificationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

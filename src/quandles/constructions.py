@@ -322,13 +322,13 @@ def cocycle_extension(q: FiniteQuandle, phi: CocycleTable) -> FiniteQuandle:
     vals = phi.values
     table = []
     for x in range(n):
-        for _a in range(m):
-            row = []
-            for y in range(n):
-                base = t[x][y] * m
-                shift = vals[x][y]
-                row += [base + (b + shift) % m for b in range(m)]
-            table.append(row)
+        # The row at (x, a) does not depend on a: build it once.
+        row = []
+        for y in range(n):
+            base = t[x][y] * m
+            shift = vals[x][y]
+            row += [base + (b + shift) % m for b in range(m)]
+        table += [row] * m
     labels = [f"({q.label(x)},{a})" for x in range(n) for a in range(m)]
     try:
         return FiniteQuandle(table, labels)

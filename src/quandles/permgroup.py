@@ -333,6 +333,21 @@ class PermGroup:
     _base = None
     _chain = None
 
+    def __eq__(self, other):
+        """Equal when they are the same group: same degree and order, and
+        every generator of other lies in self (so other is a subgroup of
+        self of the same size)."""
+        if not isinstance(other, PermGroup):
+            return NotImplemented
+        return (
+            self.degree == other.degree
+            and self.order() == other.order()
+            and all(g in self for g in other.generators)
+        )
+
+    def __hash__(self):
+        return hash((self.degree, self.order()))
+
     @classmethod
     def _from_base(cls, degree, base, generators) -> "PermGroup":
         """The group of a strong generating set for the base points base:

@@ -66,13 +66,6 @@ def test_construct_writes_file_and_summary(capsys, tmp_path):
     assert json.loads(open(out_path).read())["size"] == 15
 
 
-def test_construct_rejects_bad_params(capsys):
-    code, _, err = run(capsys, "construct", "dihedral", "0")
-    assert code == 2 and "error" in err
-    code, _, err = run(capsys, "construct", "aknn", "2")
-    assert code == 2
-
-
 def test_construct_extension(capsys, tmp_path):
     qpath = write_json(tmp_path, "t2.json", quandle_to_dict(trivial(2)))
     cpath = write_json(
@@ -81,6 +74,93 @@ def test_construct_extension(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "extension", qpath, cpath)
     assert code == 0
     assert json.loads(out)["size"] == 4
+
+
+# ------------------------------------------------------------ golden output
+
+# Every construct kind, and from-graph, on a small input: the argv, the
+# summary line printed with --out, and the JSON printed without it.  The
+# input files are written into the working directory by golden_dir.
+GOLDEN_BUILDS = [
+    (("construct", "trivial", "2"), "trivial(2): 2 points",
+     '{"size": 2, "table": [[0, 1], [0, 1]]}'),
+    (("construct", "dihedral", "3"), "dihedral(3): 3 points",
+     '{"size": 3, "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]}'),
+    # The summary names the parsed integer, not the text typed.
+    (("construct", "dihedral", "03"), "dihedral(3): 3 points",
+     '{"size": 3, "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]}'),
+    (("construct", "axis", "2"), "axis(2): 4 points",
+     '{"labels": ["+e1", "-e1", "+e2", "-e2"], "size": 4, '
+     '"table": [[0, 1, 3, 2], [0, 1, 3, 2], [1, 0, 2, 3], [1, 0, 2, 3]]}'),
+    (("construct", "aknn", "1", "3"), "aknn(1,3): 6 points",
+     '{"labels": ["+(1)", "-(1)", "+(2)", "-(2)", "+(3)", "-(3)"], "size": 6, '
+     '"table": [[0, 1, 3, 2, 5, 4], [0, 1, 3, 2, 5, 4], [1, 0, 2, 3, 5, 4], '
+     '[1, 0, 2, 3, 5, 4], [1, 0, 3, 2, 4, 5], [1, 0, 3, 2, 4, 5]]}'),
+    (("construct", "graph", "k2.json"), "graph(k2.json): 4 points",
+     '{"labels": ["(0,0)", "(0,1)", "(1,0)", "(1,1)"], "size": 4, '
+     '"table": [[0, 1, 3, 2], [0, 1, 3, 2], [1, 0, 2, 3], [1, 0, 2, 3]]}'),
+    (("from-graph", "k2.json"), "quandle: 4 points",
+     '{"labels": ["(0,0)", "(0,1)", "(1,0)", "(1,1)"], "size": 4, '
+     '"table": [[0, 1, 3, 2], [0, 1, 3, 2], [1, 0, 2, 3], [1, 0, 2, 3]]}'),
+    (("construct", "torus", "1", "3"), "torus(1,3): 3 points",
+     '{"size": 3, "table": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]}'),
+    (("construct", "extension", "t2.json", "phi.json"), "extension(t2.json,phi.json): 4 points",
+     '{"labels": ["(0,0)", "(0,1)", "(1,0)", "(1,1)"], "size": 4, '
+     '"table": [[0, 1, 3, 2], [0, 1, 3, 2], [1, 0, 2, 3], [1, 0, 2, 3]]}'),
+]
+
+# Requests that exit 2 before printing anything, and their one stderr line.
+GOLDEN_ERRORS = [
+    (("construct", "dihedral"), "expected `dihedral R`, got 0 parameter(s)"),
+    (("construct", "trivial", "1", "2"), "expected `trivial N`, got 2 parameter(s)"),
+    (("construct", "axis"), "expected `axis N`, got 0 parameter(s)"),
+    (("construct", "aknn", "2"), "expected `aknn K N`, got 1 parameter(s)"),
+    (("construct", "graph"), "expected `graph FILE`, got 0 parameter(s)"),
+    (("construct", "extension", "t2.json"),
+     "expected `extension QUANDLE COCYCLE`, got 1 parameter(s)"),
+    (("construct", "torus"), "torus needs at least one dihedral order"),
+    (("construct", "trivial", "two"), "size must be integers, got 'two'"),
+    (("construct", "dihedral", "x"), "order must be integers, got 'x'"),
+    (("construct", "axis", "1.5"), "dimension must be integers, got '1.5'"),
+    (("construct", "aknn", "2", "y"), "parameters must be integers, got 'y'"),
+    (("construct", "torus", "3", "z"), "orders must be integers, got 'z'"),
+    (("construct", "trivial", "0"), "size must be a positive integer, got 0"),
+    (("construct", "dihedral", "0"), "order must be a positive integer, got 0"),
+    (("construct", "axis", "0"), "dimension must be a positive integer, got 0"),
+    (("construct", "aknn", "3", "2"), "need 1 <= k <= n, got k=3, n=2"),
+    (("construct", "graph", "missing.json"),
+     "[Errno 2] No such file or directory: 'missing.json'"),
+    # The base quandle is read before the cocycle.
+    (("construct", "extension", "missing.json", "absent.json"),
+     "[Errno 2] No such file or directory: 'missing.json'"),
+    (("construct", "extension", "t2.json", "absent.json"),
+     "[Errno 2] No such file or directory: 'absent.json'"),
+    (("from-graph", "missing.json"), "[Errno 2] No such file or directory: 'missing.json'"),
+    (("check", "t2.json", "--props", "shiny"),
+     "unknown property 'shiny'; choose from connected, homogeneous, flat, medial, "
+     "crossed, involutive, abelian_inn"),
+]
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, "k2.json", {"vertices": 2, "edges": [[0, 1]]})
+    write_json(tmp_path, "t2.json", quandle_to_dict(trivial(2)))
+    write_json(tmp_path, "phi.json", {"size": 2, "modulus": 2, "values": [[0, 1], [1, 0]]})
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, summary, text", GOLDEN_BUILDS, ids=["-".join(b[0]) for b in GOLDEN_BUILDS])
+def test_build_output_is_golden(argv, summary, text, capsys, golden_dir):
+    assert run(capsys, *argv) == (0, text + "\n", "")
+    assert run(capsys, *argv, "--out", "q.json") == (0, f"{summary} -> q.json\n", "")
+    assert (golden_dir / "q.json").read_text() == text + "\n"
+
+
+@pytest.mark.parametrize("argv, message", GOLDEN_ERRORS, ids=["-".join(e[0]) for e in GOLDEN_ERRORS])
+def test_usage_errors_are_golden(argv, message, capsys, golden_dir):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_check_homogeneous_cycle5(capsys, tmp_path):
@@ -147,12 +227,6 @@ def test_check_rejects_labels_that_are_not_strings(capsys, tmp_path):
     code, out, err = run(capsys, "check", path)
     assert code == 2 and out == ""
     assert err == 'error: "labels" must be a list of 2 strings\n'
-
-
-def test_check_unknown_property(capsys, tmp_path):
-    path = write_json(tmp_path, "q.json", quandle_to_dict(dihedral(3)))
-    code, _, err = run(capsys, "check", path, "--props", "shiny")
-    assert code == 2
 
 
 def test_check_validates_its_arguments_before_any_work(capsys, tmp_path, monkeypatch):

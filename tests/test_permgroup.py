@@ -6,7 +6,7 @@ import random
 import pytest
 
 from quandles import InputError, PermGroup, Permutation
-from quandles import dihedral, direct_product, from_graph, graphs, inner_group, trivial
+from quandles import dihedral, direct_product, from_graph, graphs, group_chain, inner_group, trivial
 from quandles.permgroup import _cycle_type, _cycles, _gather, _Kernel, _noncommuting_pair
 from quandles.search import _find, _unite
 
@@ -370,6 +370,21 @@ def test_groups_refuse_assignment_and_deletion():
         with pytest.raises(AttributeError):
             delattr(group, name)
     assert group.order() == order and group.orbits() == ((0, 1, 2, 3, 4),)
+
+
+def test_groups_compare_as_the_group_they_generate():
+    s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+    same = PermGroup(3, [(0, 2, 1), (2, 1, 0), (1, 2, 0)])
+    assert s3 == same and hash(s3) == hash(same)
+    cyclic = PermGroup(3, [(1, 2, 0)])
+    assert cyclic != s3 and s3 != cyclic
+    # Same order, different group: two transpositions of S_3.
+    assert PermGroup(3, [(1, 0, 2)]) != PermGroup(3, [(0, 2, 1)])
+    assert PermGroup(3) != PermGroup(4) and PermGroup(3) == PermGroup(3, [(0, 1, 2)])
+    assert s3 != s3.generators
+    chain = group_chain(dihedral(3))
+    for twin in (group_chain(dihedral(3)), copy.deepcopy(chain), pickle.loads(pickle.dumps(chain))):
+        assert twin == chain and hash(twin) == hash(chain)
 
 
 # ------------------------------------------------------------------- orbits

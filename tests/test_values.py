@@ -253,8 +253,7 @@ def test_copies_and_pickles_keep_class_and_fields(cls, fields, args, other, text
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert type(b) is cls
         assert repr(b) == text
-        if cls is not GroupChain:  # its groups compare by identity
-            assert b == a and tuple(getattr(b, f) for f in fields) == args
+        assert b == a and tuple(getattr(b, f) for f in fields) == args
 
 
 def test_defaults():
