@@ -21,7 +21,7 @@ from .errors import (
 )
 from .graphs import SimpleGraph, is_vertex_transitive
 from .permgroup import PermGroup, Permutation, _Kernel, _noncommuting_pair
-from .search import DEFAULT_NODE_BUDGET, automorphism_generators, quandle_structure
+from .search import DEFAULT_NODE_BUDGET, automorphism_generators, is_transitive, quandle_structure
 
 
 def inner_group(q: FiniteQuandle) -> PermGroup:
@@ -300,11 +300,14 @@ class Characterization(Record):
 
 
 def characterize(q: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET) -> Characterization:
+    """The Characterization of q.  Homogeneity comes from
+    quandles.search.is_transitive: False with no search when the points'
+    colour counts differ, else read off the automorphism search, which
+    raises ResourceLimitError past node_budget."""
     components = connected_components(q)
     size_two = all(len(c) == 2 for c in components)
     crossed = _crossed_witness(q) is None
-    aut = automorphism_group(q, node_budget=node_budget)
-    homogeneous = aut.is_transitive()
+    homogeneous = is_transitive(quandle_structure(q.table), node_budget)
     graph = relabeling = vertex_transitive = None
     if size_two and crossed:
         graph, relabeling = to_graph(q)

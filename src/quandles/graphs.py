@@ -12,7 +12,7 @@ import itertools
 from ._record import Record
 from .errors import InputError
 from .permgroup import PermGroup
-from .search import automorphism_generators, graph_structure
+from .search import automorphism_generators, graph_structure, is_transitive
 
 
 class SimpleGraph(Record):
@@ -92,10 +92,11 @@ def graph_automorphisms(g: SimpleGraph) -> PermGroup:
 
 
 def is_vertex_transitive(g: SimpleGraph) -> bool:
-    """True iff the automorphism group has a single vertex orbit."""
+    """True iff the automorphism group has a single vertex orbit: False,
+    with no search, when the degrees differ (see quandles.search.is_transitive)."""
     if g.vertex_count < 1:
         raise InputError("vertex-transitivity needs at least one vertex")
-    return graph_automorphisms(g).is_transitive()
+    return is_transitive(graph_structure(_adjacency_masks(g)))
 
 
 def empty(n: int) -> SimpleGraph:

@@ -31,7 +31,19 @@ Automorphisms come back as a base and a strong generating set for it,
 found with automorphism pruning in the manner of McKay and Piperno
 (Practical graph isomorphism II, JSC 2014): see automorphism_generators.
 The base is the one the search fixes anyway, so the group kernel reads
-the stabilizer chain off it without Schreier-Sims.
+the stabilizer chain off it without Schreier-Sims.  Twins, points whose
+transposition is an automorphism (in a graph, vertices with the same
+neighbours apart from each other; in a quandle, points with equal rows
+that every row maps onto themselves as a pair), are found once per
+structure, and their transpositions cost no node: a graph quandle's
+(v, 0) and (v, 1) are twins, and so are any two points of a trivial
+quandle.  The trivial quandle on 200 points takes 200 nodes, one per
+base point, the graph quandle of the 200-cycle 601, and aknn(4, 8)
+1,533.
+
+is_transitive answers "one orbit?": with no node when the colour counts
+are not all equal, since an automorphism keeps them, and otherwise from
+the generators the automorphism search finds.
 """
 
 from __future__ import annotations
@@ -233,6 +245,47 @@ def isomorphisms(s1: Structure, s2: Structure, node_budget=DEFAULT_NODE_BUDGET):
     yield from search.completions(*search.start())
 
 
+def _buckets(keys):
+    """The points grouped by equal key, in order of first appearance."""
+    out = {}
+    for x, k in enumerate(keys):
+        out.setdefault(k, []).append(x)
+    return out.values()
+
+
+def _twin_classes(s: Structure) -> list[list[int]]:
+    """The classes of twins of s with more than one point.
+
+    Twins are points whose transposition is an automorphism, and, in a
+    quandle, whose rows are equal; that is an equivalence, since
+    (a c) = (a b)(b c)(a b).  In a graph, false twins have equal
+    adjacency rows and true twins equal rows once each has its own bit
+    set, and no vertex has both kinds.  Quandle twins have equal colour
+    rows, so only such points are compared: a and b are twins exactly
+    when their rows are equal and every row r has {r[a], r[b]} == {a, b}.
+    """
+    if s.table is None:
+        closed = [row[:x] + b"\1" + row[x + 1 :] for x, row in enumerate(s.colours)]
+        return [c for keys in (s.colours, closed) for c in _buckets(keys) if len(c) > 1]
+    rows, columns, classes = s.table, None, []
+    for bucket in _buckets(s.colours):
+        if len(bucket) < 2:
+            continue
+        if columns is None:
+            columns = list(zip(*rows))
+        found = []
+        for a in bucket:
+            for c in found:
+                b = c[0]
+                if rows[a] == rows[b] and set(zip(columns[a], columns[b])) <= {(a, b), (b, a)}:
+                    c.append(a)
+                    break
+            else:
+                found.append([a])
+        classes += [c for c in found if len(c) > 1]
+    return classes
+
+
 def automorphism_generators(s: Structure, node_budget=DEFAULT_NODE_BUDGET) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """A base of Aut(s) and a strong generating set for it, as
     (base points, generators as image tuples).
@@ -240,14 +293,17 @@ def automorphism_generators(s: Structure, node_budget=DEFAULT_NODE_BUDGET) -> tu
     First the base: fix the branching point of the search to itself,
     again and again, until every point is assigned (the identity path).
     Level i holds the base point b_i and the partial map that fixes
-    b_1..b_{i-1}.  Then, from the deepest level up, look for one
+    b_1..b_{i-1}.  Then, from the deepest level up, emit the
+    transposition (b_i c) for each twin c of b_i that is not an earlier
+    base point and not yet in b_i's orbit under the generators found so
+    far; it fixes b_1..b_{i-1} and costs no node.  Then look for one
     automorphism that fixes b_1..b_{i-1} and maps b_i to y, for each
-    candidate y that is neither in b_i's orbit under the generators
-    found so far nor in the orbit of a y that failed at this level
-    (those fail as well).  The generators found at levels i and deeper
-    are those that fix b_1..b_{i-1}; they generate the stabilizer of
-    b_1..b_{i-1} and reach its whole orbit of b_i, so they are a strong
-    generating set for this base.
+    candidate y that is neither in b_i's orbit nor in the orbit of a y
+    that failed at this level (those fail as well).  The generators
+    found at levels i and deeper are those that fix b_1..b_{i-1}; they
+    generate the stabilizer of b_1..b_{i-1} and reach its whole orbit of
+    b_i, so they are a strong generating set for this base.  A refusal
+    drops the generators found so far before it leaves.
     """
     search = _Search(s, s, node_budget)
     img, dom = search.start()
@@ -260,26 +316,60 @@ def automorphism_generators(s: Structure, node_budget=DEFAULT_NODE_BUDGET) -> tu
         search.node()
         search.extend(img, dom, b, b)
 
+    twins = [()] * s.size
+    for c in _twin_classes(s):
+        for x in c:
+            twins[x] = c
+    position = [len(levels)] * s.size
+    for i, level in enumerate(levels):
+        position[level[0]] = i
     parent = list(range(s.size))
     gens = []
-    for b, cands, img, dom in reversed(levels):
-        failed = []
-        cands &= ~(1 << b)
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            y = low.bit_length() - 1
-            root = _find(parent, y)
-            if root == _find(parent, b) or any(_find(parent, f) == root for f in failed):
-                continue
-            search.node()
-            child_img, child_dom = img[:], dom[:]
-            g = None
-            if search.extend(child_img, child_dom, b, y):
-                g = next(search.completions(child_img, child_dom), None)
-            if g is None:
-                failed.append(y)
-                continue
-            gens.append(g)
-            _unite(parent, g)
+    try:
+        for i in reversed(range(len(levels))):
+            b, cands, img, dom = levels[i]
+            for c in twins[b]:
+                if position[c] > i and _find(parent, c) != _find(parent, b):
+                    g = list(range(s.size))
+                    g[b], g[c] = c, b
+                    gens.append(tuple(g))
+                    _unite(parent, g)
+            failed = []
+            cands &= ~(1 << b)
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                y = low.bit_length() - 1
+                root = _find(parent, y)
+                if root == _find(parent, b) or any(_find(parent, f) == root for f in failed):
+                    continue
+                search.node()
+                child_img, child_dom = img[:], dom[:]
+                g = None
+                if search.extend(child_img, child_dom, b, y):
+                    g = next(search.completions(child_img, child_dom), None)
+                if g is None:
+                    failed.append(y)
+                    continue
+                gens.append(g)
+                _unite(parent, g)
+    except ResourceLimitError:
+        gens.clear()
+        raise
     return tuple(level[0] for level in levels), gens
+
+
+def is_transitive(s: Structure, node_budget=DEFAULT_NODE_BUDGET) -> bool:
+    """Whether Aut(s) has a single orbit.
+
+    An automorphism keeps each point's colour counts, so the answer is
+    False, with no search, when the search's starting cells are more
+    than one; otherwise it is whether the generators that
+    automorphism_generators finds have a single orbit.
+    """
+    if len(set(_colour_counts(s))) > 1:
+        return False
+    parent = list(range(s.size))
+    for g in automorphism_generators(s, node_budget)[1]:
+        _unite(parent, g)
+    return len({_find(parent, x) for x in range(s.size)}) <= 1

@@ -192,6 +192,19 @@ def random_edge_set(rng, n, p=0.5):
     return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
 
 
+# Automorphism orders known in closed form, as (family, parameters,
+# |Aut|); each input is homogeneous.  Every permutation keeps the trivial
+# quandle's table, so |Aut(trivial(n))| = n!.  For a graph G on n vertices
+# with no isolated vertex, |Aut(Q(G))| = 2^n |Aut(G)|: the swaps of (v, 0)
+# with (v, 1), extended by Aut(G).  |Aut(C_n)| = 2n for n >= 3, and
+# Aut(J(n, k)) is S_n for n != 2k.
+CLOSED_FORM_AUTOMORPHISM_ORDERS = (
+    [("trivial", (n,), math.factorial(n)) for n in (50, 120, 200)]
+    + [("cycle", (n,), 2**n * 2 * n) for n in (50, 100)]
+    + [("johnson", (n, k), 2 ** math.comb(n, k) * math.factorial(n)) for n, k in ((7, 3), (8, 3))]
+)
+
+
 def petersen_edges():
     outer = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]
     spokes = [(i, i + 5) for i in range(5)]

@@ -43,6 +43,7 @@ from quandles.core import _first_tables
 from quandles.search import DEFAULT_NODE_BUDGET
 
 from helpers import (
+    CLOSED_FORM_AUTOMORPHISM_ORDERS,
     closure_by_products,
     conjugate,
     first_noncommuting_products,
@@ -272,6 +273,70 @@ def test_large_automorphism_groups_are_not_refused():
     assert automorphism_group(from_graph(graphs.cycle(20))).order() == 2**20 * 40
 
 
+CLOSED_FORM_FAMILIES = {
+    "trivial": trivial,
+    "cycle": lambda n: from_graph(graphs.cycle(n)),
+    "johnson": lambda n, k: from_graph(graphs.johnson(n, k)),
+}
+
+
+@pytest.mark.parametrize(
+    "family, params, order",
+    CLOSED_FORM_AUTOMORPHISM_ORDERS,
+    ids=[f + "_".join(map(str, p)) for f, p, _ in CLOSED_FORM_AUTOMORPHISM_ORDERS],
+)
+def test_automorphism_orders_match_their_closed_forms(family, params, order):
+    q = CLOSED_FORM_FAMILIES[family](*params)
+    aut = automorphism_group(q)
+    assert aut.order() == order
+    assert aut.is_transitive() and characterize(q).homogeneous is True
+
+
+def twin_pairs(size, is_automorphism):
+    """Every pair a < b whose transposition passes is_automorphism."""
+    pairs = set()
+    for a, b in itertools.combinations(range(size), 2):
+        images = list(range(size))
+        images[a], images[b] = b, a
+        if is_automorphism(images):
+            pairs.add((a, b))
+    return pairs
+
+
+def class_pairs(classes):
+    return {pair for c in classes for pair in itertools.combinations(sorted(c), 2)}
+
+
+def test_twin_classes_are_exactly_the_swapped_pairs():
+    # The search's twin classes hold exactly the pairs whose transposition
+    # is an automorphism: by the edge set in a graph, and in a quandle by
+    # core.is_homomorphism, among points with equal rows.  A graph
+    # quandle's (v, 0) and (v, 1) are always twins, under any labelling.
+    rng = random.Random(43)
+    suite = [(q, ()) for q in small_suite(rng)]
+    for n in (1, 3, 5, 7, 8):
+        sigma = rng.sample(range(2 * n), 2 * n)
+        q = FiniteQuandle(relabeled_table(from_graph(SimpleGraph(n, random_edge_set(rng, n))).table, sigma))
+        suite.append((q, [(sigma[2 * v], sigma[2 * v + 1]) for v in range(n)]))
+    suite += [(FiniteQuandle(rows), ()) for n in range(1, 7) for rows in _first_tables(n)]
+    for q, fibres in suite:
+        classes = search._twin_classes(search.quandle_structure(q.table))
+        found = class_pairs(classes)
+        n = q.size
+        swapped = twin_pairs(n, lambda g: is_homomorphism(PointMap(n, n, g), q, q))
+        assert found == {(a, b) for a, b in swapped if q.table[a] == q.table[b]}, q.table
+        assert {tuple(sorted(f)) for f in fibres} <= found
+        gens = search.automorphism_generators(search.quandle_structure(q.table))[1]
+        assert all(is_homomorphism(PointMap(n, n, g), q, q) for g in gens)
+    for n in range(1, 8):
+        for graph in (SimpleGraph(n, random_edge_set(rng, n)), graphs.complete(n), graphs.empty(n), graphs.star(n)):
+            edges = graph.edges
+            classes = search._twin_classes(search.graph_structure(graphs._adjacency_masks(graph)))
+            assert class_pairs(classes) == twin_pairs(
+                n, lambda g: {tuple(sorted((g[u], g[v]))) for u, v in edges} == edges
+            ), edges
+
+
 @pytest.mark.parametrize(
     "graph",
     [graphs.parity_difference(6, 3), graphs.cycle(30), graphs.johnson(7, 3)],
@@ -354,16 +419,23 @@ def test_search_work_does_not_grow(monkeypatch):
         run(*args)
         return nodes
 
-    assert count(automorphism_group, aknn(4, 8)) <= 4021
-    assert count(automorphism_group, from_graph(graphs.cycle(60))) <= 2012
-    assert count(automorphism_group, trivial(40)) <= 859
+    assert count(automorphism_group, aknn(4, 8)) <= 1533
+    assert count(automorphism_group, from_graph(graphs.cycle(60))) <= 181
+    # Twins cost no node: a graph quandle's (v, 0) and (v, 1), and any
+    # two points of a trivial quandle, which takes one node per base point.
+    assert count(automorphism_group, from_graph(graphs.cycle(100))) <= 301
+    assert count(automorphism_group, trivial(40)) <= 40
+    assert count(automorphism_group, trivial(200)) <= 200
     for graph, most in (
-        (graphs.parity_difference(8, 4), 1404),
+        (graphs.parity_difference(8, 4), 512),
         (graphs.johnson(5, 2), 43),
-        (graphs.star(9), 44),
+        (graphs.star(9), 9),
         (graphs.cycle(30), 89),
     ):
         assert count(graphs.graph_automorphisms, graph) <= most
+    # Unequal colour counts answer "one orbit?" with no search.
+    assert count(graphs.is_vertex_transitive, graphs.star(9)) == 0
+    assert count(characterize, from_graph(graphs.path(6))) == 0
     assert count(list, iter_isomorphisms(dihedral(5), trivial(5))) == 0
 
 
@@ -391,7 +463,8 @@ def permutation_hoards(exc):
 @pytest.mark.parametrize(
     "over_cap",
     [
-        lambda: automorphism_group(trivial(8), node_budget=20),
+        # The search finds 16 generators before the budget runs out.
+        lambda: automorphism_group(from_graph(graphs.johnson(6, 3)), node_budget=30),
         lambda: find_isomorphism(dihedral(9), discrete_torus((3, 3)), node_budget=5),
     ],
 )
@@ -604,6 +677,18 @@ def test_characterize_star_quandle_fails_homogeneity():
     assert verdict.homogeneous is False
     assert verdict.graph_vertex_transitive is False
     assert not verdict.matches
+
+
+def test_unequal_colour_counts_decide_homogeneity_with_no_search():
+    # An automorphism keeps each point's colour counts, so a quandle whose
+    # counts differ is not homogeneous whatever the budget; the full group
+    # that property_report needs for its witness still takes its search.
+    q = from_graph(graphs.path(12))
+    assert characterize(q, node_budget=1).homogeneous is False
+    with pytest.raises(ResourceLimitError):
+        automorphism_group(q, node_budget=1)
+    with pytest.raises(ResourceLimitError):
+        characterize(from_graph(graphs.cycle(12)), node_budget=1)
 
 
 def test_characterize_connected_dihedral_fails_component_condition():
