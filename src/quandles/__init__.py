@@ -28,19 +28,14 @@ from .analysis import (
 from .constructions import (
     CocycleCheck,
     CocycleTable,
-    SignedSubset,
-    adjacency_cocycle,
     aknn,
     axis_quandle,
     cocycle_extension,
     cocycle_from_dict,
-    cocycle_to_dict,
     dihedral,
     discrete_torus,
     from_graph,
     is_cocycle,
-    reflection_oracle,
-    signed_subsets,
     trivial,
 )
 from .core import (
@@ -52,11 +47,9 @@ from .core import (
     enumerate_quandles,
     find_isomorphism,
     is_homomorphism,
-    is_subquandle,
     iter_isomorphisms,
     quandle_from_dict,
     quandle_to_dict,
-    restrict,
     verify_axioms,
 )
 from .errors import (
@@ -92,10 +85,8 @@ __all__ = [
     "PropertyReport",
     "QuandleError",
     "ResourceLimitError",
-    "SignedSubset",
     "SimpleGraph",
     "VerificationError",
-    "adjacency_cocycle",
     "aknn",
     "automorphism_group",
     "axis_quandle",
@@ -103,7 +94,6 @@ __all__ = [
     "characterize",
     "cocycle_extension",
     "cocycle_from_dict",
-    "cocycle_to_dict",
     "connected_components",
     "dihedral",
     "direct_product",
@@ -120,14 +110,10 @@ __all__ = [
     "inner_group",
     "is_cocycle",
     "is_homomorphism",
-    "is_subquandle",
     "iter_isomorphisms",
     "property_report",
     "quandle_from_dict",
     "quandle_to_dict",
-    "reflection_oracle",
-    "restrict",
-    "signed_subsets",
     "to_dot",
     "to_graph",
     "trivial",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (or every requested property true), 1 a requested
 property or reconstruction precondition is false, 2 malformed input,
-bad usage, an exceeded search limit, an input too deep or too large for
+bad usage, an exceeded search or size limit, an input too deep or too large for
 the recursion limit or memory, or a failed internal cross-check (a bug).
 Output for fixed inputs is byte-stable: collections are sorted and
 nothing is timestamped.

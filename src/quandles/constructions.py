@@ -1,24 +1,39 @@
 """Builders for the stock quandle families.
 
-All constructors return checked FiniteQuandle values.  Everything here is
-exact integer arithmetic; the reflection oracle in particular keeps the
-geometry honest without a single float.
+All constructors return checked FiniteQuandle values, in exact integer
+arithmetic.  Each refuses a table of more than POINT_CAP points before
+it builds anything.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from ._record import Record
 from .core import FiniteQuandle, direct_product
-from .errors import AxiomError, InputError
+from .errors import AxiomError, InputError, ResourceLimitError
 from .graphs import SimpleGraph, _adjacency_masks, _require_positive, parity_difference
 from .permgroup import _Kernel
+
+# The most points a constructor builds a table for.  The axiom check of
+# the result takes time growing about as n^3 (dihedral(1024) took about
+# 15 s on a 2-core machine).  A module constant, with no setting.
+POINT_CAP = 2048
+
+
+def _admit(points: int) -> None:
+    """Refuse a table of more than POINT_CAP points, before any work."""
+    if points > POINT_CAP:
+        raise ResourceLimitError(
+            f"the table would have {points} points, over the bound of {POINT_CAP}"
+        )
 
 
 def trivial(n: int) -> FiniteQuandle:
     """Every symmetry is the identity."""
     _require_positive(n, "size")
+    _admit(n)
     row = tuple(range(n))
     return FiniteQuandle([row] * n)
 
@@ -30,6 +45,7 @@ def dihedral(r: int) -> FiniteQuandle:
     vertex x, written additively on vertex indices.
     """
     _require_positive(r, "order")
+    _admit(r)
     return FiniteQuandle([[(2 * x - y) % r for y in range(r)] for x in range(r)])
 
 
@@ -41,44 +57,12 @@ def axis_quandle(n: int) -> FiniteQuandle:
     so this is the graph quandle of the complete graph K_n.
     """
     _require_positive(n, "dimension")
+    _admit(2 * n)
     everyone = (1 << n) - 1
     labels = []
     for i in range(1, n + 1):
         labels += [f"+e{i}", f"-e{i}"]
     return FiniteQuandle(_graph_quandle_rows([everyone ^ 1 << v for v in range(n)]), labels)
-
-
-class SignedSubset(Record):
-    """An oriented coordinate k-plane: a strictly increasing index tuple
-    from {1..n} together with an orientation sign."""
-
-    __slots__ = ("n", "indices", "sign")
-
-    def __init__(self, n: int, indices, sign: int):
-        idx = tuple(indices)
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InputError(f"ambient dimension must be positive, got {n!r}")
-        if len(idx) < 1 or any(not isinstance(i, int) or isinstance(i, bool) for i in idx):
-            raise InputError(f"indices must be a nonempty tuple of integers, got {idx!r}")
-        if any(i < 1 or i > n for i in idx) or any(
-            idx[t] >= idx[t + 1] for t in range(len(idx) - 1)
-        ):
-            raise InputError(f"indices must be strictly increasing in 1..{n}, got {idx!r}")
-        if sign not in (1, -1):
-            raise InputError(f"sign must be +1 or -1, got {sign!r}")
-        self._set(n, idx, sign)
-
-
-def signed_subsets(k: int, n: int) -> list[SignedSubset]:
-    """The elements of the oriented coordinate-plane quandle in index order:
-    k-subsets lexicographic, + before -."""
-    if not isinstance(k, int) or isinstance(k, bool) or not isinstance(n, int) or isinstance(n, bool) or not 1 <= k <= n:
-        raise InputError(f"need 1 <= k <= n, got k={k!r}, n={n!r}")
-    out = []
-    for idx in itertools.combinations(range(1, n + 1), k):
-        out.append(SignedSubset(n, idx, 1))
-        out.append(SignedSubset(n, idx, -1))
-    return out
 
 
 def aknn(k: int, n: int) -> FiniteQuandle:
@@ -90,75 +74,16 @@ def aknn(k: int, n: int) -> FiniteQuandle:
     its own labels.  Element order (k-subsets lexicographic, + before -)
     is part of the public contract.
     """
-    elements = signed_subsets(k, n)
-    masks = _adjacency_masks(parity_difference(n, k))
+    if not isinstance(k, int) or isinstance(k, bool) or not isinstance(n, int) or isinstance(n, bool) or not 1 <= k <= n:
+        raise InputError(f"need 1 <= k <= n, got k={k!r}, n={n!r}")
+    _admit(2 * math.comb(n, k))
     labels = [
-        ("+" if e.sign > 0 else "-") + "(" + ",".join(map(str, e.indices)) + ")"
-        for e in elements
+        sign + "(" + ",".join(map(str, idx)) + ")"
+        for idx in itertools.combinations(range(1, n + 1), k)
+        for sign in "+-"
     ]
+    masks = _adjacency_masks(parity_difference(n, k))
     return FiniteQuandle(_graph_quandle_rows(masks), labels)
-
-
-def _int_det(matrix) -> int:
-    """Exact integer determinant by fraction-free Gaussian elimination."""
-    a = [list(row) for row in matrix]
-    n = len(a)
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, n):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-            a[r][i] = 0
-        prev = a[i][i]
-    return sign * a[-1][-1]
-
-
-def reflection_oracle(big_i: SignedSubset, big_j: SignedSubset) -> SignedSubset:
-    """Evaluate the symmetry at I on J by raw geometry, in exact integers.
-
-    The reflection across I's plane fixes coordinates in I and negates the
-    rest.  It is applied to each basis vector of J; the images are then
-    expressed in J's reference basis and the determinant sign of that
-    change of basis multiplies J's orientation.  This is an independent
-    route to the parity rule used by aknn and is compared against it in
-    the tests.
-    """
-    if big_i.n != big_j.n:
-        raise InputError(f"ambient dimensions differ: {big_i.n} vs {big_j.n}")
-    if len(big_i.indices) != len(big_j.indices):
-        raise InputError(
-            f"plane dimensions differ: {len(big_i.indices)} vs {len(big_j.indices)}"
-        )
-    n = big_j.n
-    k = len(big_j.indices)
-    in_i = set(big_i.indices)
-    images = []
-    for j in big_j.indices:
-        vec = [0] * n
-        vec[j - 1] = 1
-        images.append([x if (c + 1) in in_i else -x for c, x in enumerate(vec)])
-    pos = {j: t for t, j in enumerate(big_j.indices)}
-    matrix = [[0] * k for _ in range(k)]
-    for col, vec in enumerate(images):
-        for c, x in enumerate(vec):
-            if x == 0:
-                continue
-            if (c + 1) not in pos:
-                raise InputError("reflected plane escaped its coordinate support")
-            matrix[pos[c + 1]][col] = x
-    det = _int_det(matrix)
-    if det == 0:
-        raise InputError("reflected basis is degenerate")
-    return SignedSubset(n, big_j.indices, big_j.sign * (1 if det > 0 else -1))
 
 
 def from_graph(g: SimpleGraph) -> FiniteQuandle:
@@ -168,6 +93,7 @@ def from_graph(g: SimpleGraph) -> FiniteQuandle:
     (w, b + e(v, w)) where e is the adjacency function, so the row does
     not depend on a.
     """
+    _admit(2 * g.vertex_count)
     labels = [f"({g.label(v)},{a})" for v in range(g.vertex_count) for a in (0, 1)]
     return FiniteQuandle(_graph_quandle_rows(_adjacency_masks(g)), labels)
 
@@ -318,6 +244,7 @@ def cocycle_extension(q: FiniteQuandle, phi: CocycleTable) -> FiniteQuandle:
         raise InputError(f"not a 2-cocycle: first violation {check.witness}")
     m = phi.modulus
     n = q.size
+    _admit(n * m)
     t = q.table
     vals = phi.values
     table = []
@@ -343,31 +270,18 @@ def cocycle_extension(q: FiniteQuandle, phi: CocycleTable) -> FiniteQuandle:
         ) from None
 
 
-def adjacency_cocycle(g: SimpleGraph) -> CocycleTable:
-    """The adjacency function of a simple graph as a table mod 2."""
-    n = g.vertex_count
-    return CocycleTable(
-        2, [[g.adjacency(v, w) for w in range(n)] for v in range(n)]
-    )
-
-
 def discrete_torus(orders) -> FiniteQuandle:
     """Direct product of dihedral quandles, folded left to right."""
     orders = tuple(orders)
     if not orders:
         raise InputError("a discrete torus needs at least one factor")
+    for r in orders:
+        _require_positive(r, "order")
+    _admit(math.prod(orders))
     q = dihedral(orders[0])
     for r in orders[1:]:
         q = direct_product(q, dihedral(r))
     return q
-
-
-def cocycle_to_dict(phi: CocycleTable) -> dict:
-    return {
-        "size": phi.base_size,
-        "modulus": phi.modulus,
-        "values": [list(r) for r in phi.values],
-    }
 
 
 def cocycle_from_dict(d) -> CocycleTable:

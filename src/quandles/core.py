@@ -245,52 +245,6 @@ def find_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle, *, node_budget: int =
     return None
 
 
-def _validate_subset(q: FiniteQuandle, subset) -> tuple[int, ...]:
-    """The distinct points of subset, sorted; each is checked first, in
-    the order given."""
-    try:
-        pts = tuple(subset)
-    except TypeError:
-        raise InputError("subset must be an iterable of points") from None
-    for p in pts:
-        if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < q.size:
-            raise InputError(f"point {p!r} is out of range")
-    if not pts:
-        raise InputError("subset must be nonempty")
-    return tuple(sorted(set(pts)))
-
-
-def _is_closed(q: FiniteQuandle, pts) -> bool:
-    """True iff the validated points pts are closed under every member
-    symmetry and its inverse.  Each symmetry is injective, so one that
-    maps the finite set pts into itself maps it onto itself, and its
-    inverse maps pts into pts too: closure under the symmetries is
-    enough."""
-    inside = set(pts)
-    for a in pts:
-        row = q.table[a]
-        for x in pts:
-            if row[x] not in inside:
-                return False
-    return True
-
-
-def is_subquandle(q: FiniteQuandle, subset) -> bool:
-    """True iff the subset is closed under every member symmetry and its inverse."""
-    return _is_closed(q, _validate_subset(q, subset))
-
-
-def restrict(q: FiniteQuandle, subset) -> FiniteQuandle:
-    """The induced quandle on a subquandle, reindexed to 0..k-1 in sorted order."""
-    pts = _validate_subset(q, subset)
-    if not _is_closed(q, pts):
-        raise InputError(f"subset {pts} is not a subquandle")
-    index = {p: i for i, p in enumerate(pts)}
-    table = [[index[q.table[a][b]] for b in pts] for a in pts]
-    labels = [q.label(p) for p in pts] if q.labels else None
-    return FiniteQuandle(table, labels)
-
-
 def direct_product(q1: FiniteQuandle, q2: FiniteQuandle) -> FiniteQuandle:
     """Componentwise quandle on pairs; (x1, x2) sits at index x1 * q2.size + x2."""
     n1, n2 = q1.size, q2.size

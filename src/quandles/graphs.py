@@ -51,22 +51,6 @@ class SimpleGraph(Record):
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def adjacency(self, v: int, w: int) -> int:
-        """1 iff v and w are joined by an edge; always 0 on the diagonal."""
-        for x in (v, w):
-            if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.vertex_count:
-                raise InputError(f"vertex {x!r} is out of range")
-        if v == w:
-            return 0
-        return 1 if ((min(v, w), max(v, w)) in self.edges) else 0
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        out = [w for w in range(self.vertex_count) if w != v and self.adjacency(v, w)]
-        return tuple(out)
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels else str(v)
 

@@ -1,8 +1,9 @@
 """Independent oracles for the test suite.
 
 Everything here recomputes expected values by a different route than the
-library: brute force enumeration, float geometry, bitset linear algebra.
-None of it imports the package, so a bug cannot hide on both sides.
+library: brute force enumeration, float and exact integer geometry,
+bitset linear algebra, closed forms.  None of it imports the package, so
+a bug cannot hide on both sides.
 """
 
 import itertools
@@ -188,18 +189,131 @@ def geometric_dihedral_table(r):
     return table
 
 
+def signed_subsets(k, n):
+    """The oriented coordinate k-planes of n-space as (n, indices, sign)
+    triples, in the point order of aknn(k, n): k-subsets of 1..n
+    lexicographic, + before -."""
+    return [(n, idx, sign) for idx in itertools.combinations(range(1, n + 1), k) for sign in (1, -1)]
+
+
+def _int_det(matrix):
+    """Exact integer determinant by fraction-free Gaussian elimination."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if a[i][i] == 0:
+            for r in range(i + 1, n):
+                if a[r][i] != 0:
+                    a[i], a[r] = a[r], a[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
+            a[r][i] = 0
+        prev = a[i][i]
+    return sign * a[-1][-1]
+
+
+def reflection_oracle(big_i, big_j):
+    """The symmetry at the oriented plane big_i applied to big_j, both
+    signed_subsets triples of one n and k, by raw geometry in exact
+    integers.
+
+    The reflection across I's plane fixes the coordinates in I and
+    negates the rest.  It is applied to each basis vector of J; the
+    images are written in J's reference basis, and the sign of the
+    determinant of that change of basis multiplies J's orientation.
+    """
+    n, indices, sign = big_j
+    in_i = set(big_i[1])
+    images = []
+    for j in indices:
+        vec = [0] * n
+        vec[j - 1] = 1
+        images.append([x if (c + 1) in in_i else -x for c, x in enumerate(vec)])
+    pos = {j: t for t, j in enumerate(indices)}
+    matrix = [[0] * len(indices) for _ in indices]
+    for col, vec in enumerate(images):
+        for c, x in enumerate(vec):
+            if x:
+                matrix[pos[c + 1]][col] = x
+    det = _int_det(matrix)
+    assert det != 0, "reflected basis is degenerate"
+    return (n, indices, sign * (1 if det > 0 else -1))
+
+
+def affine_table(p, a):
+    """The affine quandle x * y = a*y + (1 - a)*x over Z/p from its
+    definition, as the table of its symmetries: table[x][y] = x * y."""
+    return [[(a * y + (1 - a) * x) % p for y in range(p)] for x in range(p)]
+
+
+def multiplicative_order(a, p):
+    """The least k >= 1 with a^k = 1 mod p, for a unit a."""
+    k, power = 1, a % p
+    while power != 1:
+        k, power = k + 1, power * a % p
+    return k
+
+
+def euler_phi(n):
+    return sum(1 for u in range(1, n + 1) if math.gcd(u, n) == 1)
+
+
+def adjacency_cocycle(g):
+    """The adjacency function of a graph (anything with vertex_count and
+    edges) as rows of 0s and 1s: a 2-cocycle mod 2 over the trivial
+    quandle on its vertices."""
+    n = g.vertex_count
+    values = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        values[u][v] = values[v][u] = 1
+    return values
+
+
+def cocycle_to_dict(phi):
+    """The cocycle JSON document of anything with modulus and values."""
+    return {"size": len(phi.values), "modulus": phi.modulus, "values": [list(r) for r in phi.values]}
+
+
+def is_subquandle(table, subset):
+    """True iff the symmetry at each point of subset maps subset into
+    itself.  Each symmetry is injective, so it then maps the finite
+    subset onto itself, and its inverse maps the subset into itself too:
+    closure under the symmetries is enough."""
+    inside = set(subset)
+    return all(table[a][x] in inside for a in inside for x in inside)
+
+
+def restrict(table, subset):
+    """The table induced on a subquandle, its points renumbered 0..k-1 in
+    sorted order."""
+    pts = sorted(set(subset))
+    assert is_subquandle(table, pts), f"{pts} is not a subquandle"
+    index = {p: i for i, p in enumerate(pts)}
+    return [[index[table[a][b]] for b in pts] for a in pts]
+
+
 def random_edge_set(rng, n, p=0.5):
     return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
 
 
 # Automorphism orders known in closed form, as (family, parameters,
 # |Aut|); each input is homogeneous.  Every permutation keeps the trivial
-# quandle's table, so |Aut(trivial(n))| = n!.  For a graph G on n vertices
+# quandle's table, so |Aut(trivial(n))| = n!.  The automorphisms of the
+# dihedral quandle R_n are the affine maps x -> u*x + b with u a unit mod
+# n, so |Aut(R_n)| = n*phi(n).  For a graph G on n vertices
 # with no isolated vertex, |Aut(Q(G))| = 2^n |Aut(G)|: the swaps of (v, 0)
 # with (v, 1), extended by Aut(G).  |Aut(C_n)| = 2n for n >= 3, and
 # Aut(J(n, k)) is S_n for n != 2k.
 CLOSED_FORM_AUTOMORPHISM_ORDERS = (
     [("trivial", (n,), math.factorial(n)) for n in (50, 120, 200)]
+    + [("dihedral", (n,), n * euler_phi(n)) for n in (4, 6, 8, 10, 12, 30, 101, 255, 257)]
     + [("cycle", (n,), 2**n * 2 * n) for n in (50, 100)]
     + [("johnson", (n, k), 2 ** math.comb(n, k) * math.factorial(n)) for n, k in ((7, 3), (8, 3))]
 )

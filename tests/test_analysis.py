@@ -44,6 +44,7 @@ from quandles.search import DEFAULT_NODE_BUDGET
 
 from helpers import (
     CLOSED_FORM_AUTOMORPHISM_ORDERS,
+    affine_table,
     closure_by_products,
     conjugate,
     first_noncommuting_products,
@@ -51,6 +52,7 @@ from helpers import (
     gf2_rank,
     group_elements,
     labelled_products,
+    multiplicative_order,
     nx_automorphism_order,
     nx_vertex_transitive,
     orbit_partition,
@@ -82,7 +84,18 @@ def test_inner_order_of_the_cycle30_graph_quandle_is_two_to_the_gf2_rank():
     assert inner_group(from_graph(g)).order() == 2 ** gf2_rank(masks, 30) == 2**28
 
 
-@pytest.mark.parametrize("graph", [graphs.cycle(60), graphs.johnson(7, 3)], ids=["cycle60", "johnson7_3"])
+@pytest.mark.parametrize(
+    "graph",
+    [
+        graphs.cycle(60),
+        graphs.cycle(100),
+        graphs.cycle(200),
+        graphs.johnson(7, 3),
+        graphs.johnson(9, 4),
+        graphs.parity_difference(9, 4),
+    ],
+    ids=["cycle60", "cycle100", "cycle200", "johnson7_3", "johnson9_4", "parity_difference9_4"],
+)
 def test_inner_order_of_large_graph_quandles_is_two_to_the_gf2_rank(graph):
     masks = [0] * graph.vertex_count
     for u, v in graph.edges:
@@ -275,6 +288,7 @@ def test_large_automorphism_groups_are_not_refused():
 
 CLOSED_FORM_FAMILIES = {
     "trivial": trivial,
+    "dihedral": dihedral,
     "cycle": lambda n: from_graph(graphs.cycle(n)),
     "johnson": lambda n, k: from_graph(graphs.johnson(n, k)),
 }
@@ -290,6 +304,17 @@ def test_automorphism_orders_match_their_closed_forms(family, params, order):
     aut = automorphism_group(q)
     assert aut.order() == order
     assert aut.is_transitive() and characterize(q).homogeneous is True
+
+
+@pytest.mark.parametrize("a", [2, 3])
+def test_affine_quandle_groups_match_their_closed_forms(a):
+    # Over Z/p, p prime, Aut of x * y = a*y + (1 - a)*x is the affine
+    # group, of order p(p - 1), and Inn is {y -> a^k y + b}, of order
+    # p * ord(a).
+    p = 101
+    q = FiniteQuandle(affine_table(p, a))
+    assert automorphism_group(q).order() == p * (p - 1)
+    assert inner_group(q).order() == p * multiplicative_order(a, p) == 10_100
 
 
 def twin_pairs(size, is_automorphism):
@@ -506,7 +531,7 @@ def test_graph_quandle_components_are_at_most_pairs():
         assert all(len(c) <= 2 for c in comps)
         # the fiber over v is one component exactly when v has a neighbor
         for v in range(n):
-            has_neighbor = g.degree(v) > 0
+            has_neighbor = any(v in e for e in g.edges)
             fiber_joined = any(set(c) == {2 * v, 2 * v + 1} for c in comps)
             assert fiber_joined == has_neighbor
 

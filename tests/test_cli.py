@@ -407,6 +407,21 @@ def test_cli_import_without_site_loads_neither_typing_nor_dataclasses():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_test_oracles_import_nothing_from_the_package():
+    # tests/helpers.py is the independent side of every oracle check, so
+    # even with the package on the path it loads no quandles module.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import helpers; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'quandles'))"
+    )
+    tests = os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, tests], capture_output=True, text=True, env=_src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 # ------------------------------------------------------------- JSON writer
 
 JSON_KEYS = st.sampled_from(["table", "size", "labels", "\"", "é"]) | st.text()

@@ -1,19 +1,21 @@
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
 from quandles import (
     CocycleTable,
     InputError,
-    SignedSubset,
+    ResourceLimitError,
     SimpleGraph,
-    adjacency_cocycle,
     aknn,
     axis_quandle,
     cocycle_extension,
     cocycle_from_dict,
-    cocycle_to_dict,
     dihedral,
     direct_product,
     discrete_torus,
@@ -22,15 +24,21 @@ from quandles import (
     inner_group,
     is_cocycle,
     is_homomorphism,
-    reflection_oracle,
-    signed_subsets,
     trivial,
     verify_axioms,
 )
-from quandles import even_inner_group, graphs
-from quandles.constructions import _first_failing_point
+from quandles import constructions, even_inner_group, graphs
+from quandles.constructions import POINT_CAP, _first_failing_point
 
-from helpers import cocycle_witness, geometric_dihedral_table, random_edge_set
+from helpers import (
+    adjacency_cocycle,
+    cocycle_to_dict,
+    cocycle_witness,
+    geometric_dihedral_table,
+    random_edge_set,
+    reflection_oracle,
+    signed_subsets,
+)
 
 
 # ------------------------------------------------------------ trivial/dihedral
@@ -87,9 +95,10 @@ def test_aknn_element_count_and_order():
     q = aknn(2, 4)
     assert q.size == 12
     assert q.labels[:4] == ("+(1,2)", "-(1,2)", "+(1,3)", "-(1,3)")
-    elements = signed_subsets(2, 4)
-    assert elements[0] == SignedSubset(4, (1, 2), 1)
-    assert elements[-1] == SignedSubset(4, (3, 4), -1)
+    assert q.labels == tuple(
+        ("+" if sign > 0 else "-") + "(" + ",".join(map(str, idx)) + ")"
+        for _, idx, sign in signed_subsets(2, 4)
+    )
 
 
 def test_aknn_parity_rule():
@@ -105,17 +114,6 @@ def test_aknn_parity_rule():
         aknn(3, 2)
 
 
-def test_signed_subset_validation():
-    with pytest.raises(InputError):
-        SignedSubset(3, (2, 1), 1)
-    with pytest.raises(InputError):
-        SignedSubset(3, (1, 4), 1)
-    with pytest.raises(InputError):
-        SignedSubset(3, (1, 2), 0)
-    with pytest.raises(InputError):
-        SignedSubset(3, (), 1)
-
-
 def test_reflection_oracle_fixes_own_plane():
     for k, n in ((1, 3), (2, 4), (3, 5)):
         for element in signed_subsets(k, n):
@@ -123,8 +121,7 @@ def test_reflection_oracle_fixes_own_plane():
 
 
 def test_reflection_oracle_flips_odd_differences():
-    out = reflection_oracle(SignedSubset(4, (1, 2), 1), SignedSubset(4, (1, 3), 1))
-    assert out == SignedSubset(4, (1, 3), -1)
+    assert reflection_oracle((4, (1, 2), 1), (4, (1, 3), 1)) == (4, (1, 3), -1)
 
 
 def test_reflection_oracle_matches_table_on_a24():
@@ -134,13 +131,6 @@ def test_reflection_oracle_matches_table_on_a24():
     for i, big_i in enumerate(elements):
         for j, big_j in enumerate(elements):
             assert q.table[i][j] == index[reflection_oracle(big_i, big_j)]
-
-
-def test_reflection_oracle_dimension_mismatch():
-    with pytest.raises(InputError):
-        reflection_oracle(SignedSubset(4, (1, 2), 1), SignedSubset(5, (1, 2), 1))
-    with pytest.raises(InputError):
-        reflection_oracle(SignedSubset(4, (1, 2), 1), SignedSubset(4, (1, 2, 3), 1))
 
 
 # ------------------------------------------------------------- graph quandles
@@ -196,7 +186,7 @@ def test_graph_adjacency_is_a_cocycle_over_trivial():
     for _ in range(10):
         n = rng.randint(1, 6)
         g = SimpleGraph(n, random_edge_set(rng, n))
-        assert is_cocycle(trivial(n), adjacency_cocycle(g)).ok
+        assert is_cocycle(trivial(n), CocycleTable(2, adjacency_cocycle(g))).ok
 
 
 def test_any_zero_diagonal_table_is_a_cocycle_over_trivial():
@@ -286,7 +276,7 @@ def test_adjacency_extension_reproduces_graph_quandle():
     for _ in range(8):
         n = rng.randint(1, 7)
         g = SimpleGraph(n, random_edge_set(rng, n))
-        ext = cocycle_extension(trivial(n), adjacency_cocycle(g))
+        ext = cocycle_extension(trivial(n), CocycleTable(2, adjacency_cocycle(g)))
         assert ext.table == from_graph(g).table
 
 
@@ -347,6 +337,89 @@ def test_torus_with_even_factor_is_flat_but_disconnected():
 def test_torus_needs_a_factor():
     with pytest.raises(InputError):
         discrete_torus([])
+
+
+# ----------------------------------------------------------- size admission
+
+def run_limited(*args):
+    """Run python with these arguments in a child process with the source
+    tree on its path, under a 1 GB address-space limit and a 60 s timeout,
+    so that a builder which starts work on a huge table fails the test
+    instead of exhausting the machine."""
+    env = dict(os.environ)
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    limit = 1 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory
+    )
+
+
+@pytest.mark.parametrize(
+    "call, points",
+    [
+        ("dihedral(10**20)", 10**20),
+        ("aknn(10, 20)", 2 * 184756),
+        ("trivial(10**9)", 10**9),
+        ("from_graph(SimpleGraph(10**9))", 2 * 10**9),
+        ("discrete_torus((3,) * 40)", 3**40),
+    ],
+)
+def test_tables_over_the_point_cap_are_refused_before_any_work(call, points):
+    code = (
+        "from quandles import *\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ResourceLimitError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = run_limited("-c", code)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == f"the table would have {points} points, over the bound of {POINT_CAP}\n"
+
+
+@pytest.mark.parametrize("params", [("dihedral", "100000000000000000000"), ("aknn", "10", "20")])
+def test_construct_over_the_point_cap_exits_2(params):
+    proc = run_limited("-m", "quandles", "construct", *params)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: the table would have ")
+    assert proc.stderr.endswith(f" points, over the bound of {POINT_CAP}\n")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_each_builder_counts_its_points_against_the_cap(monkeypatch):
+    # With the bound at 6, each family builds its 6-point member and
+    # refuses the next one, naming its point count.
+    monkeypatch.setattr(constructions, "POINT_CAP", 6)
+    zero2, zero3 = CocycleTable(2, [[0] * 3] * 3), CocycleTable(3, [[0] * 3] * 3)
+    cases = [
+        (lambda: trivial(6), lambda: trivial(7), 7),
+        (lambda: dihedral(6), lambda: dihedral(7), 7),
+        (lambda: axis_quandle(3), lambda: axis_quandle(4), 8),
+        (lambda: aknn(1, 3), lambda: aknn(2, 4), 12),
+        (lambda: discrete_torus([3, 2]), lambda: discrete_torus([3, 3]), 9),
+        (lambda: from_graph(graphs.complete(3)), lambda: from_graph(graphs.complete(4)), 8),
+        (lambda: cocycle_extension(trivial(3), zero2), lambda: cocycle_extension(trivial(3), zero3), 9),
+    ]
+    for build, refuse, points in cases:
+        assert build().size == 6
+        with pytest.raises(ResourceLimitError) as info:
+            refuse()
+        assert str(info.value) == f"the table would have {points} points, over the bound of 6"
+
+
+def test_parameters_are_checked_before_the_size(monkeypatch):
+    # Every invalid torus order is found before the product is taken,
+    # and aknn checks k and n before counting its points.
+    monkeypatch.setattr(constructions, "POINT_CAP", 6)
+    with pytest.raises(InputError, match="order must be a positive integer, got 0"):
+        discrete_torus([7, 0])
+    with pytest.raises(InputError, match="need 1 <= k <= n, got k=30, n=20"):
+        aknn(30, 20)
 
 
 # ------------------------------------------------------- family-wide checks

@@ -25,7 +25,6 @@ from quandles import (
     Permutation,
     PointMap,
     PropertyReport,
-    SignedSubset,
     SimpleGraph,
     dihedral,
     from_graph,
@@ -64,13 +63,6 @@ RECORDS = [
         ((1, 2, 0),),
         ((2, 0, 1),),
         "Permutation(images=(1, 2, 0))",
-    ),
-    (
-        SignedSubset,
-        ("n", "indices", "sign"),
-        (4, (1, 3), -1),
-        (4, (1, 3), 1),
-        "SignedSubset(n=4, indices=(1, 3), sign=-1)",
     ),
     (
         CocycleCheck,
@@ -268,7 +260,6 @@ def test_defaults():
 def test_sequences_are_stored_as_tuples():
     assert Permutation([1, 0]).images == (1, 0)
     assert PointMap(2, 2, [1, 0]).images == (1, 0)
-    assert SignedSubset(3, [1, 2], 1).indices == (1, 2)
 
 
 def test_permutations_sort_by_images():
@@ -288,12 +279,6 @@ def test_permutations_sort_by_images():
         (lambda: PointMap(2, 2, [0]), "1 images for domain of size 2"),
         (lambda: PointMap(2, 2, [0, 2]), "image of 1 is 2, out of range"),
         (lambda: PointMap(1, 1, [True]), "image of 0 is True, out of range"),
-        (lambda: SignedSubset(0, (1,), 1), "ambient dimension must be positive, got 0"),
-        (lambda: SignedSubset(3, (), 1), "indices must be a nonempty tuple of integers, got ()"),
-        (lambda: SignedSubset(3, (1, "2"), 1), "indices must be a nonempty tuple of integers, got (1, '2')"),
-        (lambda: SignedSubset(3, (2, 1), 1), "indices must be strictly increasing in 1..3, got (2, 1)"),
-        (lambda: SignedSubset(3, (1, 4), 1), "indices must be strictly increasing in 1..3, got (1, 4)"),
-        (lambda: SignedSubset(3, (1,), 0), "sign must be +1 or -1, got 0"),
     ],
 )
 def test_validation_messages(build, message):
