@@ -11,15 +11,9 @@ import itertools
 import math
 
 from ._record import Record
-from .core import FiniteQuandle, direct_product
-from .errors import AxiomError, InputError, ResourceLimitError
+from .core import POINT_CAP, FiniteQuandle, _check_axioms, direct_product
+from .errors import AxiomError, InputError, ResourceLimitError, VerificationError
 from .graphs import SimpleGraph, _adjacency_masks, _require_positive, parity_difference
-from .permgroup import _Kernel
-
-# The most points a constructor builds a table for.  The axiom check of
-# the result takes time growing about as n^3 (dihedral(1024) took about
-# 15 s on a 2-core machine).  A module constant, with no setting.
-POINT_CAP = 2048
 
 
 def _admit(points: int) -> None:
@@ -159,115 +153,66 @@ class CocycleCheck(Record):
         return self.ok
 
 
-def _first_failing_point(t, vals, m):
-    """The first x at which the 2-cocycle identity fails for some (y, z),
-    or None when it holds everywhere; needs n <= 256 and m <= 64.
+def _extension_rows(q: FiniteQuandle, phi: CocycleTable) -> list[tuple[int, ...]]:
+    """The rows of the extension of q along phi, point (x, a) at index
+    x*m + a, with the symmetry at (x, a) sending (y, b) to
+    (s_x(y), b + phi(x, y)).  Refuses a cocycle on another base and more
+    than POINT_CAP points before it builds anything."""
+    if phi.base_size != q.size:
+        raise InputError(f"cocycle base size {phi.base_size} does not match quandle size {q.size}")
+    m = phi.modulus
+    _admit(q.size * m)
+    rows = []
+    for sx, vx in zip(q.table, phi.values):
+        # The row at (x, a) does not depend on a: build it once.
+        row = []
+        for sxy, shift in zip(sx, vx):
+            base = sxy * m
+            row += [base + (b + shift) % m for b in range(m)]
+        rows += [tuple(row)] * m
+    return rows
 
-    For fixed (x, z) the identity over all y reads
 
-        vals[x][y] + vals[s_y(x)][z] - vals[s_z(x)][s_z(y)] - vals[x][z] = 0 (mod m).
-
-    The two middle rows are byte translates: column x of t through column
-    z of vals, and row z of t through row s_z(x) of vals.  The whole sum
-    is then taken on integers holding one byte per y.  Adding 2m to each
-    byte keeps every byte in [2, 4m - 2], inside 0..255 for m <= 64, so
-    no byte borrows from the next and the bytes of the result are the n
-    sums exactly; the identity holds when each is m, 2m or 3m.
-    """
-    n = len(t)
-    kernel = _Kernel(n)  # pads a row of values, like a row of points, to a translate table
-    columns = [bytes(c) for c in zip(*t)]
-    rows = [bytes(r) for r in t]
-    val_rows = list(map(kernel.embed, vals))
-    val_columns = list(map(kernel.embed, zip(*vals)))
-    ones = int.from_bytes(b"\x01" * n, "little")
-    offsets = [(2 * m - c) * ones for c in range(m)]
-    multiples = bytes((m, 2 * m, 3 * m))
-    for x in range(n):
-        vx = vals[x]
-        left = int.from_bytes(bytes(vx), "little")
-        column = columns[x]  # s_z(x) at each z
-        for z in range(n):
-            total = (
-                left
-                + int.from_bytes(column.translate(val_columns[z]), "little")
-                - int.from_bytes(rows[z].translate(val_rows[column[z]]), "little")
-                + offsets[vx[z]]
-            )
-            if total.to_bytes(n, "little").translate(None, multiples):
-                return x
-    return None
+def _witness(report, m: int) -> tuple:
+    """The first failing cocycle condition, read off the extension's
+    axiom report: the conditions of is_cocycle do not depend on the fiber
+    coordinates, so Q1 first fails at x*m and Q3 at (x*m, y*m, z*m) for
+    the first failing x and (x, y, z)."""
+    axiom, points = report.first_violation
+    if axiom in ("Q1", "Q3") and not any(p % m for p in points):
+        return ("diagonal" if axiom == "Q1" else "identity", tuple(p // m for p in points))
+    raise VerificationError(f"the extension fails {axiom} at {points}, which no cocycle condition explains")
 
 
 def is_cocycle(q: FiniteQuandle, phi: CocycleTable) -> CocycleCheck:
-    """Check the zero diagonal and the 2-cocycle identity over all triples:
+    """Whether the extension of q along phi is a quandle.  Its rows are all
+    permutations, and its Q1 and Q3 are exactly these conditions (mod m):
 
-        phi(x,y) - phi(x,z) + phi(s_y(x), z) - phi(s_z(x), s_z(y)) = 0  (mod m)
+        phi(x, x) = 0,
+        phi(x, s_y(z)) + phi(y, z) = phi(s_x(y), s_x(z)) + phi(x, z).
+
+    They are decided by the axiom check of the extension, so this costs
+    what building and checking n*m points costs, and it refuses more
+    than POINT_CAP points.
     """
-    if phi.base_size != q.size:
-        raise InputError(
-            f"cocycle base size {phi.base_size} does not match quandle size {q.size}"
-        )
-    m = phi.modulus
-    vals = phi.values
-    t = q.table
-    n = q.size
-    for x in range(n):
-        if vals[x][x] % m != 0:
-            return CocycleCheck(False, ("diagonal", (x,)))
-    start = _first_failing_point(t, vals, m) if n <= 256 and m <= 64 else 0
-    if start is None:
-        return CocycleCheck(True)
-    for x in range(start, n):
-        for y in range(n):
-            for z in range(n):
-                total = (
-                    vals[x][y]
-                    - vals[x][z]
-                    + vals[t[y][x]][z]
-                    - vals[t[z][x]][t[z][y]]
-                )
-                if total % m != 0:
-                    return CocycleCheck(False, ("identity", (x, y, z)))
-    return CocycleCheck(True)
+    report = _check_axioms(_extension_rows(q, phi))
+    return CocycleCheck(True) if report.ok else CocycleCheck(False, _witness(report, phi.modulus))
 
 
 def cocycle_extension(q: FiniteQuandle, phi: CocycleTable) -> FiniteQuandle:
     """Abelian extension along a 2-cocycle: points (x, a) at index x*m + a,
     with the symmetry at (x, a) sending (y, b) to (s_x(y), b + phi(x, y)).
 
-    The cocycle check runs first; the constructed table is axiom-checked
-    on the way out.
+    The table's own axiom check decides whether phi is a cocycle; a
+    failure names the first failing condition, as is_cocycle does.
     """
-    check = is_cocycle(q, phi)
-    if not check.ok:
-        raise InputError(f"not a 2-cocycle: first violation {check.witness}")
+    rows = _extension_rows(q, phi)
     m = phi.modulus
-    n = q.size
-    _admit(n * m)
-    t = q.table
-    vals = phi.values
-    table = []
-    for x in range(n):
-        # The row at (x, a) does not depend on a: build it once.
-        row = []
-        for y in range(n):
-            base = t[x][y] * m
-            shift = vals[x][y]
-            row += [base + (b + shift) % m for b in range(m)]
-        table += [row] * m
-    labels = [f"({q.label(x)},{a})" for x in range(n) for a in range(m)]
+    labels = [f"({q.label(x)},{a})" for x in range(q.size) for a in range(m)]
     try:
-        return FiniteQuandle(table, labels)
-    except AxiomError:
-        # Reachable only for asymmetric cocycles over a nontrivial base:
-        # the checked identity transports the first argument, while the
-        # (x, y) argument order used here needs the transposed table to
-        # satisfy it.  Refuse rather than hand back a non-quandle.
-        raise InputError(
-            "cocycle passes the two-argument identity but its transpose does "
-            "not; the (x, y)-ordered extension of this base is not a quandle"
-        ) from None
+        return FiniteQuandle(rows, labels)
+    except AxiomError as exc:
+        raise InputError(f"not a 2-cocycle: first violation {_witness(exc.report, m)}") from None
 
 
 def discrete_torus(orders) -> FiniteQuandle:

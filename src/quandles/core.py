@@ -26,6 +26,14 @@ from .search import DEFAULT_NODE_BUDGET, isomorphisms, quandle_structure
 
 ENUMERATION_CAP = 7
 
+# The most points a constructor builds a table for, or a quandle file may
+# declare.  Above 256 points the axiom check makes about d^2 gathers of
+# n-tuples for d distinct rows: on the graph quandle of a cycle (d = n/2)
+# one check took 2.9 s at 600 points, 12.9 s at 1000 and 82 s at 2000
+# (Python 3.11, 2-core VM).  A module constant, with no setting; the
+# builders in constructions read it from here.
+POINT_CAP = 2048
+
 # The most relabelings canonical_table compares (dihedral(13) has 599,040).
 # Its memory no longer grows with the slice, but its time still does.
 CANONICAL_SLICE_CAP = 10**6
@@ -510,7 +518,9 @@ def quandle_to_dict(q: FiniteQuandle) -> dict:
 
 
 def quandle_from_dict(d) -> FiniteQuandle:
-    """Parse quandle JSON; a table that fails the axioms raises AxiomError."""
+    """Parse quandle JSON; a table that fails the axioms raises AxiomError,
+    and a "size" over POINT_CAP raises ResourceLimitError before the table
+    is read."""
     if not isinstance(d, dict):
         raise InputError("quandle JSON must be an object")
     if "size" not in d or "table" not in d:
@@ -519,6 +529,8 @@ def quandle_from_dict(d) -> FiniteQuandle:
     table = d["table"]
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise InputError('"size" must be a positive integer')
+    if size > POINT_CAP:
+        raise ResourceLimitError(f"the table would have {size} points, over the bound of {POINT_CAP}")
     if not isinstance(table, list) or len(table) != size:
         raise InputError(f'"table" must be a list of {size} rows')
     labels = d.get("labels")

@@ -315,7 +315,7 @@ CLOSED_FORM_AUTOMORPHISM_ORDERS = (
     [("trivial", (n,), math.factorial(n)) for n in (50, 120, 200)]
     + [("dihedral", (n,), n * euler_phi(n)) for n in (4, 6, 8, 10, 12, 30, 101, 255, 257)]
     + [("cycle", (n,), 2**n * 2 * n) for n in (50, 100)]
-    + [("johnson", (n, k), 2 ** math.comb(n, k) * math.factorial(n)) for n, k in ((7, 3), (8, 3))]
+    + [("johnson", (n, k), 2 ** math.comb(n, k) * math.factorial(n)) for n, k in ((7, 3), (8, 3), (9, 3), (10, 3), (9, 4))]
 )
 
 
@@ -347,7 +347,12 @@ def relabeling_orbit(table):
 
 def cocycle_witness(table, values, m):
     """The first failing condition of a candidate 2-cocycle, in the order
-    the definition lists them, by the plain triple loop; None if none."""
+    the definition lists them, by the plain triple loop; None if none.
+
+    The conditions are those under which the extension (x, a) > (y, b) =
+    (s_x(y), b + phi(x, y)) is a quandle: phi(x, x) = 0 and
+    phi(x, s_y(z)) + phi(y, z) = phi(s_x(y), s_x(z)) + phi(x, z) mod m.
+    """
     n = len(table)
     for x in range(n):
         if values[x][x] % m:
@@ -356,14 +361,26 @@ def cocycle_witness(table, values, m):
         for y in range(n):
             for z in range(n):
                 total = (
-                    values[x][y]
+                    values[x][table[y][z]]
+                    + values[y][z]
+                    - values[table[x][y]][table[x][z]]
                     - values[x][z]
-                    + values[table[y][x]][z]
-                    - values[table[z][x]][table[z][y]]
                 )
                 if total % m:
                     return ("identity", (x, y, z))
     return None
+
+
+def extension_table(table, values, m):
+    """The extension of a base table along values mod m, from its
+    definition: (x, a) at index x*m + a, and (x, a) > (y, b) =
+    (s_x(y), b + phi(x, y))."""
+    n = len(table)
+    return [
+        [table[x][y] * m + (b + values[x][y]) % m for y in range(n) for b in range(m)]
+        for x in range(n)
+        for a in range(m)
+    ]
 
 
 def labelled_products(table, inverse=False):

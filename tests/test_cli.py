@@ -221,6 +221,13 @@ def test_check_non_quandle_table(capsys, tmp_path):
     assert code == 2
 
 
+def test_quandle_files_over_the_point_cap_exit_2(capsys, golden_dir):
+    write_json(golden_dir, "big.json", {"size": 2049, "table": []})
+    message = "error: the table would have 2049 points, over the bound of 2048\n"
+    for argv in (("check", "big.json"), ("to-graph", "big.json"), ("construct", "extension", "big.json", "phi.json")):
+        assert run(capsys, *argv) == (2, "", message)
+
+
 def test_check_rejects_labels_that_are_not_strings(capsys, tmp_path):
     data = {"size": 2, "table": [[0, 1], [0, 1]], "labels": [{"a": 1}, 2]}
     path = write_json(tmp_path, "q.json", data)

@@ -27,13 +27,14 @@ from quandles import (
     trivial,
     verify_axioms,
 )
-from quandles import constructions, even_inner_group, graphs
-from quandles.constructions import POINT_CAP, _first_failing_point
+from quandles import constructions, enumerate_quandles, even_inner_group, graphs
+from quandles.constructions import POINT_CAP
 
 from helpers import (
     adjacency_cocycle,
     cocycle_to_dict,
     cocycle_witness,
+    extension_table,
     geometric_dihedral_table,
     random_edge_set,
     reflection_oracle,
@@ -206,7 +207,7 @@ def test_cocycle_identity_violation_carries_its_triple():
     assert kind == "identity"
     t = dihedral(3).table
     vals = phi.values
-    total = vals[x][y] - vals[x][z] + vals[t[y][x]][z] - vals[t[z][x]][t[z][y]]
+    total = vals[x][t[y][z]] + vals[y][z] - vals[t[x][y]][t[x][z]] - vals[x][z]
     assert total % 2 != 0
 
 
@@ -222,13 +223,10 @@ def test_cocycle_witnesses_match_the_triple_loop():
             for (x, y), v in zip(cells, entries):
                 values[x][y] = v
             phi = CocycleTable(m, values)
-            expected = cocycle_witness(t3, phi.values, m)
-            assert is_cocycle(dihedral(3), phi).witness == expected
-            assert _first_failing_point(t3, phi.values, m) == (expected and expected[1][0])
+            assert is_cocycle(dihedral(3), phi).witness == cocycle_witness(t3, phi.values, m)
     # Random tables (cocycles over a trivial base), the coboundary
-    # f(x) - f(s_y(x)) of a random f (a cocycle over any base, by Q3), and
-    # one-entry mutations of each, on both sides of m = 64, where the
-    # check leaves its byte-lane path.
+    # f(y) - f(s_x(y)) of a random f (a cocycle over any base, by Q3), and
+    # one-entry mutations of each, on both sides of m = 64.
     bases = [trivial(1), trivial(5), dihedral(4), dihedral(5), from_graph(graphs.cycle(4)), aknn(2, 4)]
     for q in bases:
         n = q.size
@@ -242,7 +240,7 @@ def test_cocycle_witnesses_match_the_triple_loop():
                 for density in (0.0, 0.2, 1.0)
             ]
             f = [rng.randrange(m) for _ in range(n)]
-            tables.append([[(f[x] - f[t[y][x]]) % m for y in range(n)] for x in range(n)])
+            tables.append([[(f[y] - f[t[x][y]]) % m for y in range(n)] for x in range(n)])
             assert cocycle_witness(t, tables[-1], m) is None
             for values in tables:
                 mutated = [row[:] for row in values]
@@ -253,9 +251,56 @@ def test_cocycle_witnesses_match_the_triple_loop():
                     expected = cocycle_witness(q.table, phi.values, m)
                     check = is_cocycle(q, phi)
                     assert (check.ok, check.witness) == (expected is None, expected)
-                    if m <= 64 and (expected is None or expected[0] == "identity"):
-                        first = expected and expected[1][0]
-                        assert _first_failing_point(t, phi.values, m) == first
+
+
+def cocycle_sweep():
+    """(base, values, m) for every zero-diagonal table mod 2 and mod 3 over
+    each class of order at most 3, and 100 seeded tables mod 2, 3 and 5
+    over each class of order 4: a third zero-diagonal at random, a third
+    coboundaries f(y) - f(s_x(y)), and a third those with one entry
+    changed."""
+    for n in (1, 2, 3):
+        cells = [(x, y) for x in range(n) for y in range(n) if x != y]
+        for q in enumerate_quandles(n):
+            for m in (2, 3):
+                for entries in itertools.product(range(m), repeat=len(cells)):
+                    values = [[0] * n for _ in range(n)]
+                    for (x, y), v in zip(cells, entries):
+                        values[x][y] = v
+                    yield q, values, m
+    rng = random.Random(83)
+    for q in enumerate_quandles(4):
+        t = q.table
+        for m in (2, 3, 5):
+            for i in range(100):
+                if i % 3 == 0:
+                    values = [[rng.randrange(m) if x != y else 0 for y in range(4)] for x in range(4)]
+                else:
+                    f = [rng.randrange(m) for _ in range(4)]
+                    values = [[(f[y] - f[t[x][y]]) % m for y in range(4)] for x in range(4)]
+                    if i % 3 == 2:
+                        values[rng.randrange(4)][rng.randrange(4)] = rng.randrange(m)
+                yield q, values, m
+
+
+def test_is_cocycle_is_the_axiom_check_of_the_extension():
+    # The extension is built from its definition, with no package code,
+    # and the verdicts of is_cocycle, cocycle_extension and the axiom
+    # check of that table agree on every sweep table.
+    verdicts = set()
+    for q, values, m in cocycle_sweep():
+        phi = CocycleTable(m, values)
+        table = extension_table(q.table, phi.values, m)
+        ok = verify_axioms(table).ok
+        verdicts.add(ok)
+        assert is_cocycle(q, phi).ok == ok
+        try:
+            built = cocycle_extension(q, phi)
+        except InputError as exc:
+            assert not ok and str(exc).startswith("not a 2-cocycle: first violation ")
+        else:
+            assert ok and [list(row) for row in built.table] == table
+    assert verdicts == {True, False}
 
 
 def test_cocycle_size_mismatch():
@@ -293,16 +338,19 @@ def test_extension_refuses_non_cocycles():
         cocycle_extension(trivial(2), bad)
 
 
-def test_extension_refuses_transpose_incompatible_cocycles():
-    # passes the two-argument identity but not with arguments swapped, and
-    # the (x, y)-ordered extension over this base would break the axioms
-    phi = CocycleTable(2, [[0, 0, 1], [1, 0, 1], [1, 0, 0]])
+def test_asymmetric_cocycles_over_dihedral_3():
+    # Extensions in the row convention, (x, a) > (y, b) = (s_x(y),
+    # b + phi(x, y)): this table's extension is a 6-point quandle, and the
+    # next one fails the identity at (0, 1, 0).
     q = dihedral(3)
+    phi = CocycleTable(2, [[0, 1, 1], [0, 0, 0], [1, 1, 0]])
     assert is_cocycle(q, phi).ok
-    transposed = CocycleTable(2, [[0, 1, 1], [0, 0, 0], [1, 1, 0]])
-    assert not is_cocycle(q, transposed).ok
-    with pytest.raises(InputError, match="transpose"):
-        cocycle_extension(q, phi)
+    ext = cocycle_extension(q, phi)
+    assert ext.size == 6 and verify_axioms(ext.table).ok
+    bad = CocycleTable(2, [[0, 0, 1], [1, 0, 1], [1, 0, 0]])
+    assert is_cocycle(q, bad).witness == ("identity", (0, 1, 0))
+    with pytest.raises(InputError, match=r"^not a 2-cocycle: first violation \('identity', \(0, 1, 0\)\)$"):
+        cocycle_extension(q, bad)
 
 
 def test_cocycle_json_round_trip():
@@ -391,6 +439,23 @@ def test_construct_over_the_point_cap_exits_2(params):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_cocycle_checks_over_the_point_cap_are_refused_before_any_work():
+    # 600 points mod 65 is 39,000 extension points; the refusal comes
+    # before any row is built or any triple checked.
+    code = (
+        "from quandles import *\n"
+        "q, phi = trivial(600), CocycleTable(65, [[0] * 600] * 600)\n"
+        "for check in (is_cocycle, cocycle_extension):\n"
+        "    try:\n"
+        "        check(q, phi)\n"
+        "    except ResourceLimitError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = run_limited("-c", code)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == f"the table would have 39000 points, over the bound of {POINT_CAP}\n" * 2
+
+
 def test_each_builder_counts_its_points_against_the_cap(monkeypatch):
     # With the bound at 6, each family builds its 6-point member and
     # refuses the next one, naming its point count.
@@ -420,6 +485,10 @@ def test_parameters_are_checked_before_the_size(monkeypatch):
         discrete_torus([7, 0])
     with pytest.raises(InputError, match="need 1 <= k <= n, got k=30, n=20"):
         aknn(30, 20)
+    # A cocycle on another base is refused before its n*m = 15 points.
+    for check in (is_cocycle, cocycle_extension):
+        with pytest.raises(InputError, match="cocycle base size 2 does not match quandle size 3"):
+            check(trivial(3), CocycleTable(5, [[0] * 2] * 2))
 
 
 # ------------------------------------------------------- family-wide checks

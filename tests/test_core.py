@@ -659,6 +659,17 @@ def test_json_shape_errors():
             quandle_from_dict(d)
 
 
+def test_json_size_over_the_point_cap_is_refused_before_the_table():
+    message = "^the table would have 2049 points, over the bound of 2048$"
+    with pytest.raises(ResourceLimitError, match=message):
+        quandle_from_dict({"size": 2049, "table": [list(range(2049))] * 2049})
+    # The size is read before the table's shape.
+    with pytest.raises(ResourceLimitError, match=message):
+        quandle_from_dict({"size": 2049, "table": []})
+    with pytest.raises(InputError, match='^"table" must be a list of 2048 rows$'):
+        quandle_from_dict({"size": 2048, "table": [[0]]})
+
+
 # ------------------------------------------------------------- properties
 
 def test_random_relabelings_stay_isomorphic():
