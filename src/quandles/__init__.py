@@ -41,7 +41,6 @@ from .constructions import (
 from .core import (
     AxiomReport,
     FiniteQuandle,
-    PointMap,
     canonical_table,
     direct_product,
     enumerate_quandles,
@@ -62,7 +61,7 @@ from .errors import (
     VerificationError,
 )
 from .graphs import SimpleGraph, graph_from_dict, graph_to_dict, to_dot
-from .permgroup import PermGroup, Permutation
+from .permgroup import PermGroup
 
 __version__ = "0.1.0"
 
@@ -80,8 +79,6 @@ __all__ = [
     "NotCrossedError",
     "OrderCensus",
     "PermGroup",
-    "Permutation",
-    "PointMap",
     "PropertyReport",
     "QuandleError",
     "ResourceLimitError",

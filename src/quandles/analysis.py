@@ -8,7 +8,6 @@ from .constructions import discrete_torus
 from .core import (
     ENUMERATION_CAP,
     FiniteQuandle,
-    PointMap,
     _first_tables,
     canonical_table,
 )
@@ -20,13 +19,13 @@ from .errors import (
     VerificationError,
 )
 from .graphs import SimpleGraph, is_vertex_transitive
-from .permgroup import PermGroup, Permutation, _Kernel, _noncommuting_pair
+from .permgroup import PermGroup, _Kernel, _noncommuting_pair
 from .search import DEFAULT_NODE_BUDGET, automorphism_generators, is_transitive, quandle_structure
 
 
 def inner_group(q: FiniteQuandle) -> PermGroup:
-    """Group generated by the point symmetries (the rows, deduplicated)."""
-    return PermGroup(q.size, [Permutation(r) for r in dict.fromkeys(q.table)])
+    """Group generated by the point symmetries (the rows)."""
+    return PermGroup(q.size, q.table)
 
 
 def _displacement_generators(q: FiniteQuandle) -> list:
@@ -43,8 +42,9 @@ def even_inner_group(q: FiniteQuandle) -> PermGroup:
     and the last factor lies in Dis because Dis is normal in Inn (by the
     third axiom); conversely s_x s_y^{-1} = (s_x s_y)(s_y^2)^{-1}.
     """
-    s0 = Permutation(q.table[0])
-    return PermGroup(q.size, _displacement_generators(q) + [s0 * s0])
+    kernel = _Kernel(q.size)
+    s0 = kernel.embed(q.table[0])
+    return PermGroup(q.size, _displacement_generators(q) + [kernel.gather(s0, s0)[: q.size]])
 
 
 def displacement_group(q: FiniteQuandle) -> PermGroup:
@@ -218,7 +218,7 @@ class GraphReconstruction(Record):
 
     __slots__ = ("graph", "relabeling")
 
-    def __init__(self, graph: SimpleGraph, relabeling: PointMap):
+    def __init__(self, graph: SimpleGraph, relabeling: tuple[int, ...]):
         self._set(graph, relabeling)
 
     def __iter__(self):
@@ -230,8 +230,9 @@ def to_graph(q: FiniteQuandle) -> GraphReconstruction:
 
     Vertices are the components in order of minimum point; two distinct
     components are joined iff the symmetry at one moves the other.  The
-    returned relabeling sends each point to its index in the rebuilt
-    graph's quandle, and is an isomorphism onto from_graph(graph).
+    returned relabeling is an image tuple that sends each point to its
+    index in the rebuilt graph's quandle, and is an isomorphism onto
+    from_graph(graph).
     """
     crossed_w = _crossed_witness(q)
     if crossed_w:
@@ -255,7 +256,7 @@ def to_graph(q: FiniteQuandle) -> GraphReconstruction:
     for v, (p0, p1) in enumerate(components):
         images[p0] = 2 * v
         images[p1] = 2 * v + 1
-    return GraphReconstruction(graph, PointMap(q.size, q.size, tuple(images)))
+    return GraphReconstruction(graph, tuple(images))
 
 
 class Characterization(Record):
@@ -282,7 +283,7 @@ class Characterization(Record):
         crossed: bool,
         homogeneous: bool | None,
         graph: SimpleGraph | None = None,
-        relabeling: PointMap | None = None,
+        relabeling: tuple[int, ...] | None = None,
         graph_vertex_transitive: bool | None = None,
     ):
         self._set(

@@ -192,9 +192,9 @@ def cmd_to_graph(args) -> int:
         print(f"dot -> {args.dot}")
     if args.map:
         _write_json({
-            "domain_size": relabeling.domain_size,
-            "codomain_size": relabeling.codomain_size,
-            "images": relabeling.images,
+            "domain_size": q.size,
+            "codomain_size": q.size,
+            "images": relabeling,
         }, args.map, "relabeling")
     summary = f"graph: {graph.vertex_count} vertices, {len(graph.edges)} edges"
     _write_json(graphs.graph_to_dict(graph), args.out, summary)

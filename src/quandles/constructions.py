@@ -11,17 +11,9 @@ import itertools
 import math
 
 from ._record import Record
-from .core import POINT_CAP, FiniteQuandle, _check_axioms, direct_product
-from .errors import AxiomError, InputError, ResourceLimitError, VerificationError
+from .core import FiniteQuandle, _admit, _check_axioms, direct_product
+from .errors import AxiomError, InputError, VerificationError
 from .graphs import SimpleGraph, _adjacency_masks, _require_positive, parity_difference
-
-
-def _admit(points: int) -> None:
-    """Refuse a table of more than POINT_CAP points, before any work."""
-    if points > POINT_CAP:
-        raise ResourceLimitError(
-            f"the table would have {points} points, over the bound of {POINT_CAP}"
-        )
 
 
 def trivial(n: int) -> FiniteQuandle:
@@ -230,12 +222,16 @@ def discrete_torus(orders) -> FiniteQuandle:
 
 
 def cocycle_from_dict(d) -> CocycleTable:
+    """Parse cocycle JSON.  With an integer modulus m >= 2, a "size" n
+    whose extension would have more than POINT_CAP points (n*m) raises
+    ResourceLimitError before the values are read."""
     if not isinstance(d, dict) or not {"size", "modulus", "values"} <= set(d):
         raise InputError('cocycle JSON needs "size", "modulus" and "values"')
-    size = d["size"]
-    values = d["values"]
+    size, modulus, values = d["size"], d["modulus"], d["values"]
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise InputError('"size" must be a positive integer')
+    if isinstance(modulus, int) and not isinstance(modulus, bool) and modulus >= 2:
+        _admit(size * modulus)
     if not isinstance(values, list) or len(values) != size:
         raise InputError(f'"values" must be a list of {size} rows')
-    return CocycleTable(d["modulus"], values)
+    return CocycleTable(modulus, values)

@@ -30,9 +30,16 @@ ENUMERATION_CAP = 7
 # declare.  Above 256 points the axiom check makes about d^2 gathers of
 # n-tuples for d distinct rows: on the graph quandle of a cycle (d = n/2)
 # one check took 2.9 s at 600 points, 12.9 s at 1000 and 82 s at 2000
-# (Python 3.11, 2-core VM).  A module constant, with no setting; the
-# builders in constructions read it from here.
+# (Python 3.11, 2-core VM).  A module constant, with no setting; every
+# builder and loader applies it through _admit.
 POINT_CAP = 2048
+
+
+def _admit(points: int) -> None:
+    """Refuse a table of more than POINT_CAP points, before any work."""
+    if points > POINT_CAP:
+        raise ResourceLimitError(f"the table would have {points} points, over the bound of {POINT_CAP}")
+
 
 # The most relabelings canonical_table compares (dihedral(13) has 599,040).
 # Its memory no longer grows with the slice, but its time still does.
@@ -196,32 +203,16 @@ class FiniteQuandle(Record):
         return self.labels[x] if self.labels else str(x)
 
 
-class PointMap(Record):
-    """A map between quandle point sets, as an image array."""
-
-    __slots__ = ("domain_size", "codomain_size", "images")
-
-    def __init__(self, domain_size: int, codomain_size: int, images):
-        images = tuple(images)
-        if len(images) != domain_size:
-            raise InputError(f"{len(images)} images for domain of size {domain_size}")
-        for x, y in enumerate(images):
-            if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < codomain_size:
-                raise InputError(f"image of {x} is {y!r}, out of range")
-        self._set(domain_size, codomain_size, images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-
-def is_homomorphism(f: PointMap, q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
-    """True iff f(q1.table[x][y]) == q2.table[f(x)][f(y)] for all x, y."""
-    if f.domain_size != q1.size or f.codomain_size != q2.size:
-        raise InputError(
-            f"map {f.domain_size}->{f.codomain_size} does not fit quandles "
-            f"of sizes {q1.size}, {q2.size}"
-        )
-    t1, t2, im = q1.table, q2.table, f.images
+def is_homomorphism(images, q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
+    """True iff images[q1.table[x][y]] == q2.table[images[x]][images[y]]
+    for all x, y, where images[x] is the image of point x of q1 in q2."""
+    im = tuple(images)
+    if len(im) != q1.size:
+        raise InputError(f"{len(im)} images for domain of size {q1.size}")
+    for x, y in enumerate(im):
+        if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < q2.size:
+            raise InputError(f"image of {x} is {y!r}, out of range")
+    t1, t2 = q1.table, q2.table
     for x in range(q1.size):
         fx = im[x]
         for y in range(q1.size):
@@ -246,16 +237,16 @@ def iter_isomorphisms(q1: FiniteQuandle, q2: FiniteQuandle, *, node_budget: int 
     yield from isomorphisms(s1, s2, node_budget)
 
 
-def find_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET) -> PointMap | None:
-    """A quandle isomorphism q1 -> q2, or None if there is none."""
-    for images in iter_isomorphisms(q1, q2, node_budget=node_budget):
-        return PointMap(q1.size, q2.size, images)
-    return None
+def find_isomorphism(q1: FiniteQuandle, q2: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, ...] | None:
+    """A quandle isomorphism q1 -> q2 as an image tuple, or None if there is none."""
+    return next(iter_isomorphisms(q1, q2, node_budget=node_budget), None)
 
 
 def direct_product(q1: FiniteQuandle, q2: FiniteQuandle) -> FiniteQuandle:
-    """Componentwise quandle on pairs; (x1, x2) sits at index x1 * q2.size + x2."""
+    """Componentwise quandle on pairs; (x1, x2) sits at index x1 * q2.size + x2.
+    Refuses more than POINT_CAP points before it builds anything."""
     n1, n2 = q1.size, q2.size
+    _admit(n1 * n2)
     t1, t2 = q1.table, q2.table
     table = [
         [t1[x1][y1] * n2 + t2[x2][y2] for y1 in range(n1) for y2 in range(n2)]
@@ -529,8 +520,7 @@ def quandle_from_dict(d) -> FiniteQuandle:
     table = d["table"]
     if not isinstance(size, int) or isinstance(size, bool) or size < 1:
         raise InputError('"size" must be a positive integer')
-    if size > POINT_CAP:
-        raise ResourceLimitError(f"the table would have {size} points, over the bound of {POINT_CAP}")
+    _admit(size)
     if not isinstance(table, list) or len(table) != size:
         raise InputError(f'"table" must be a list of {size} rows')
     labels = d.get("labels")

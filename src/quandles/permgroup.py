@@ -12,13 +12,13 @@ with no Schreier generator tested.  This module is the one place that
 walks cycles (_cycles) and stores permutations (_Kernel, the form of
 chain elements and of every row product elsewhere, with its two
 primitives gather, a o b, and scatter, a o b^-1; no inverse is stored).
-Orbits, transitivity and abelianness need only the generators.  No
-element is ever listed.
+Everywhere else, the public API included, a permutation is its tuple of
+images.  Orbits, transitivity and abelianness need only the generators.
+No element is ever listed.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 
 from ._record import Record
@@ -39,46 +39,13 @@ def _scatter(b, a):
     return tuple(out)
 
 
-@functools.total_ordering
-class Permutation(Record):
-    """A permutation of {0..n-1}, stored as its tuple of images.
-
-    Permutations order by their images.
-    """
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        images = tuple(images)
-        n = len(images)
-        ints = set(map(type, images)) <= {int} or all(
-            isinstance(v, int) and not isinstance(v, bool) for v in images
-        )
-        if not ints or sorted(images) != list(range(n)):
-            raise InputError(f"not a permutation of 0..{n - 1}: {images!r}")
-        # Stored directly, not through _set: the group code builds many.
-        object.__setattr__(self, "images", images)
-
-    def __lt__(self, other):
-        return self.images < other.images if other.__class__ is self.__class__ else NotImplemented
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Composition (self o other): apply other first, then self."""
-        if self.degree != other.degree:
-            raise InputError(
-                f"degree mismatch: {self.degree} vs {other.degree}"
-            )
-        kernel = _Kernel(self.degree)
-        return Permutation(kernel.gather(kernel.embed(other.images), kernel.embed(self.images))[: self.degree])
-
-    __mul__ = compose
+def _is_permutation(images: tuple) -> bool:
+    """Whether the tuple holds each of 0..len-1 once, as ints (bools are
+    refused, int subclasses such as IntEnum accepted)."""
+    ints = set(map(type, images)) <= {int} or all(
+        isinstance(v, int) and not isinstance(v, bool) for v in images
+    )
+    return ints and sorted(images) == list(range(len(images)))
 
 
 def _cycles(images) -> list[tuple[int, ...]]:
@@ -300,30 +267,30 @@ def _known_base_chain(kernel, base, gens) -> list[_Level]:
 class PermGroup:
     """A permutation group presented by generators.
 
-    Order and membership are decided on a stabilizer chain, built on
-    first use and cached: by resumable Schreier-Sims, or, for a group
-    made by _from_base, read off the strong generating set of a known
-    base.  Orbits, transitivity and abelianness are read off the
-    generators.
+    The generators may be any sequences of ints.  They are kept as a
+    tuple of distinct image tuples, each checked to be a permutation of
+    the group's degree.  Order and membership are decided on a
+    stabilizer chain, built on first use and cached: by resumable
+    Schreier-Sims, or, for a group made by _from_base, read off the
+    strong generating set of a known base.  Orbits, transitivity and
+    abelianness are read off the generators.
     """
 
     def __init__(self, degree, generators=()):
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
             raise InputError("group degree must be a nonnegative integer")
-        gens = []
-        seen = set()
-        for g in generators:
-            if not isinstance(g, Permutation):
-                g = Permutation(g)
-            if g.degree != degree:
-                raise InputError(
-                    f"generator degree {g.degree} does not match group degree {degree}"
-                )
-            if g.images not in seen:
-                seen.add(g.images)
-                gens.append(g)
+        gens = [tuple(g) for g in generators]
+        try:
+            gens = tuple(dict.fromkeys(gens))
+        except TypeError:  # an unhashable entry, which the check refuses
+            gens = tuple(gens)
+        for g in gens:
+            if not _is_permutation(g):
+                raise InputError(f"not a permutation of 0..{len(g) - 1}: {g!r}")
+            if len(g) != degree:
+                raise InputError(f"generator degree {len(g)} does not match group degree {degree}")
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", gens)
 
     # Read-only like a Record, but not equal by its generators: equal
     # groups can have different generating sets.  The base and chain
@@ -363,7 +330,7 @@ class PermGroup:
     def _stabilizer_chain(self) -> tuple[_Kernel, list[_Level]]:
         if self._chain is None:
             kernel = _Kernel(self.degree)
-            gens = [kernel.embed(g.images) for g in self.generators]
+            gens = [kernel.embed(g) for g in self.generators]
             if self._base is None:
                 chain = _schreier_sims(kernel, gens)
             else:
@@ -379,11 +346,17 @@ class PermGroup:
         return out
 
     def __contains__(self, perm) -> bool:
-        """Membership by sifting through the stabilizer chain."""
-        if not isinstance(perm, Permutation) or perm.degree != self.degree:
+        """Membership of a sequence of images, by sifting through the
+        stabilizer chain; False for anything that is not a permutation of
+        the group's degree."""
+        try:
+            perm = tuple(perm)
+        except TypeError:
+            return False
+        if len(perm) != self.degree or not _is_permutation(perm):
             return False
         kernel, chain = self._stabilizer_chain()
-        residue, depth = _sift(chain, kernel.embed(perm.images), 0, kernel)
+        residue, depth = _sift(chain, kernel.embed(perm), 0, kernel)
         return depth == len(chain) and residue == kernel.ident
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
@@ -394,8 +367,7 @@ class PermGroup:
         merging the columns of its newest points, one set union per
         step, until nothing new is reached.
         """
-        images = [g.images for g in self.generators]
-        columns = list(zip(*images)) if images else [()] * self.degree
+        columns = list(zip(*self.generators)) if self.generators else [()] * self.degree
         left = set(range(self.degree))
         blocks = []
         for x in range(self.degree):
@@ -416,4 +388,4 @@ class PermGroup:
 
     def is_abelian(self) -> bool:
         """Generators pairwise commute iff the generated group is abelian."""
-        return _noncommuting_pair([g.images for g in self.generators]) is None
+        return _noncommuting_pair(self.generators) is None

@@ -561,7 +561,7 @@ def sympy_order(degree, gens):
 def group_elements(group):
     """Every element of a PermGroup, as image tuples: closure_by_products
     of its generators."""
-    return closure_by_products(group.degree, [p.images for p in group.generators])
+    return closure_by_products(group.degree, group.generators)
 
 
 def orbit_partition(degree, perms):

@@ -11,8 +11,6 @@ from quandles import (
     FiniteQuandle,
     NotCrossedError,
     PermGroup,
-    Permutation,
-    PointMap,
     ResourceLimitError,
     SimpleGraph,
     VerificationError,
@@ -47,6 +45,7 @@ from helpers import (
     affine_table,
     closure_by_products,
     conjugate,
+    euler_phi,
     first_noncommuting_products,
     first_noncommuting_rows,
     gf2_rank,
@@ -163,8 +162,8 @@ def test_every_row_is_an_automorphism():
     rng = random.Random(7)
     for q in small_suite(rng):
         for x in range(q.size):
-            f = PointMap(q.size, q.size, q.table[x])
-            assert is_homomorphism(f, q, q) and sorted(f.images) == list(range(q.size))
+            f = q.table[x]
+            assert is_homomorphism(f, q, q) and sorted(f) == list(range(q.size))
 
 
 # ------------------------------------------------------------- automorphisms
@@ -179,8 +178,7 @@ def test_dihedral3_automorphisms_match_exhaustive_count():
     q = dihedral(3)
     brute = 0
     for images in itertools.permutations(range(3)):
-        f = PointMap(3, 3, images)
-        if is_homomorphism(f, q, q):
+        if is_homomorphism(images, q, q):
             brute += 1
     assert automorphism_group(q).order() == brute == 6
 
@@ -191,16 +189,16 @@ def test_fiber_flips_are_automorphisms():
     for u in range(5):
         images = list(range(10))
         images[2 * u], images[2 * u + 1] = images[2 * u + 1], images[2 * u]
-        flip = PointMap(10, 10, tuple(images))
+        flip = tuple(images)
         assert is_homomorphism(flip, q, q)
-        assert flip.images in group_elements(automorphism_group(q))
+        assert flip in group_elements(automorphism_group(q))
 
 
 def test_graph_automorphism_lifts_are_quandle_automorphisms():
     g = graphs.cycle(5)
     q = from_graph(g)
     for phi in group_elements(graphs.graph_automorphisms(g)):
-        lift = PointMap(10, 10, tuple(2 * phi[v] + a for v in range(5) for a in (0, 1)))
+        lift = tuple(2 * phi[v] + a for v in range(5) for a in (0, 1))
         assert is_homomorphism(lift, q, q)
 
 
@@ -242,7 +240,7 @@ def test_automorphism_chains_read_off_the_search_base_are_complete():
     # that differs from the order of the group they generate.
     def certified_order(q):
         aut = automorphism_group(q)
-        assert aut.order() == sympy_order(q.size, [g.images for g in aut.generators]), q.table
+        assert aut.order() == sympy_order(q.size, aut.generators), q.table
         return aut.order()
 
     for n in range(1, 7):
@@ -317,6 +315,27 @@ def test_affine_quandle_groups_match_their_closed_forms(a):
     assert inner_group(q).order() == p * multiplicative_order(a, p) == 10_100
 
 
+# The slow tier (python -m pytest -m slow): the same closed forms at sizes
+# that take 2-6 s each.
+
+
+@pytest.mark.slow
+def test_dihedral_401_automorphism_order_matches_its_closed_form():
+    q = dihedral(401)
+    aut = automorphism_group(q)
+    assert aut.order() == 401 * euler_phi(401) == 160_400
+    assert aut.is_transitive() and characterize(q).homogeneous is True
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [257, 401])
+def test_affine_quandle_groups_at_scale_match_their_closed_forms(p):
+    # 3 generates the units mod 257 and mod 401, so |Inn| = |Aut|.
+    q = FiniteQuandle(affine_table(p, 3))
+    assert automorphism_group(q).order() == p * (p - 1)
+    assert inner_group(q).order() == p * multiplicative_order(3, p) == p * (p - 1)
+
+
 def twin_pairs(size, is_automorphism):
     """Every pair a < b whose transposition passes is_automorphism."""
     pairs = set()
@@ -348,11 +367,11 @@ def test_twin_classes_are_exactly_the_swapped_pairs():
         classes = search._twin_classes(search.quandle_structure(q.table))
         found = class_pairs(classes)
         n = q.size
-        swapped = twin_pairs(n, lambda g: is_homomorphism(PointMap(n, n, g), q, q))
+        swapped = twin_pairs(n, lambda g: is_homomorphism(g, q, q))
         assert found == {(a, b) for a, b in swapped if q.table[a] == q.table[b]}, q.table
         assert {tuple(sorted(f)) for f in fibres} <= found
         gens = search.automorphism_generators(search.quandle_structure(q.table))[1]
-        assert all(is_homomorphism(PointMap(n, n, g), q, q) for g in gens)
+        assert all(is_homomorphism(g, q, q) for g in gens)
     for n in range(1, 8):
         for graph in (SimpleGraph(n, random_edge_set(rng, n)), graphs.complete(n), graphs.empty(n), graphs.star(n)):
             edges = graph.edges
@@ -378,7 +397,7 @@ def test_paper_theorem_on_relabeled_graph_quandles_above_sixteen_points(graph):
     assert verdict.homogeneous == verdict.graph_vertex_transitive == nx_vertex_transitive(graph)
     aut = automorphism_group(q)
     order = aut.order()
-    assert order == sympy_order(q.size, [p.images for p in aut.generators])
+    assert order == sympy_order(q.size, aut.generators)
     assert order == 2**n * nx_automorphism_order(graph)
 
 
@@ -465,10 +484,13 @@ def test_search_work_does_not_grow(monkeypatch):
 
 
 def is_permutation(value):
-    """A Permutation, or a tuple of its images as the kernel keeps them."""
-    if isinstance(value, tuple) and all(isinstance(v, int) for v in value):
-        return len(value) > 1 and sorted(value) == list(range(len(value)))
-    return isinstance(value, Permutation)
+    """A tuple of images, as the search and the groups keep permutations."""
+    return (
+        isinstance(value, tuple)
+        and len(value) > 1
+        and all(isinstance(v, int) for v in value)
+        and sorted(value) == list(range(len(value)))
+    )
 
 
 def permutation_hoards(exc):
@@ -568,8 +590,8 @@ def test_dihedral_reports():
     r3 = property_report(dihedral(3))
     assert r3.connected and r3.homogeneous and not r3.abelian_inn
     x, y = r3.witnesses["abelian_inn"]
-    sx, sy = (Permutation(dihedral(3).table[z]) for z in (x, y))
-    assert sx.compose(sy) != sy.compose(sx)
+    sx, sy = (dihedral(3).table[z] for z in (x, y))
+    assert tuple(sx[p] for p in sy) != tuple(sy[p] for p in sx)
 
 
 def test_connected_implies_homogeneous_on_suite():
@@ -623,7 +645,7 @@ def test_octahedron_reconstruction():
     graph, relabeling = to_graph(aknn(2, 4))
     assert graph == graphs.johnson(4, 2)
     rebuilt = from_graph(graph)
-    assert sorted(relabeling.images) == list(range(12))
+    assert sorted(relabeling) == list(range(12))
     assert is_homomorphism(relabeling, aknn(2, 4), rebuilt)
 
 
@@ -743,7 +765,7 @@ def test_group_chain_inclusions_hold_elementwise():
             continue
         chain = group_chain(q)
         dis, even, inn = (
-            closure_by_products(q.size, [p.images for p in g.generators])
+            closure_by_products(q.size, g.generators)
             for g in (chain.displacement, chain.even_inner, chain.inner)
         )
         aut = set(quandle_automorphisms(q.table))

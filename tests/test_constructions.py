@@ -27,8 +27,8 @@ from quandles import (
     trivial,
     verify_axioms,
 )
-from quandles import constructions, enumerate_quandles, even_inner_group, graphs
-from quandles.constructions import POINT_CAP
+from quandles import core, enumerate_quandles, even_inner_group, graphs
+from quandles.core import POINT_CAP
 
 from helpers import (
     adjacency_cocycle,
@@ -362,6 +362,19 @@ def test_cocycle_json_round_trip():
         cocycle_from_dict({"size": 2, "modulus": 2})
 
 
+def test_cocycle_json_over_the_point_cap_is_refused_before_the_values():
+    # 1025 points mod 2 would extend to 2050 points; the size and modulus
+    # are read before the values' shape.
+    with pytest.raises(ResourceLimitError, match="^the table would have 2050 points, over the bound of 2048$"):
+        cocycle_from_dict({"size": 1025, "modulus": 2, "values": None})
+    with pytest.raises(InputError, match='^"values" must be a list of 1024 rows$'):
+        cocycle_from_dict({"size": 1024, "modulus": 2, "values": None})
+    # A bad modulus keeps its own message.
+    for modulus in (1, True, "2", None):
+        with pytest.raises(InputError):
+            cocycle_from_dict({"size": 3000, "modulus": modulus, "values": [[0] * 3000] * 3000})
+
+
 # -------------------------------------------------------------- torus
 
 def test_torus_single_factor_is_dihedral():
@@ -415,6 +428,7 @@ def run_limited(*args):
         ("trivial(10**9)", 10**9),
         ("from_graph(SimpleGraph(10**9))", 2 * 10**9),
         ("discrete_torus((3,) * 40)", 3**40),
+        ("direct_product(trivial(1000), trivial(1000))", 10**6),
     ],
 )
 def test_tables_over_the_point_cap_are_refused_before_any_work(call, points):
@@ -428,6 +442,10 @@ def test_tables_over_the_point_cap_are_refused_before_any_work(call, points):
     proc = run_limited("-c", code)
     assert proc.returncode == 0 and proc.stderr == ""
     assert proc.stdout == f"the table would have {points} points, over the bound of {POINT_CAP}\n"
+
+
+def test_a_product_of_exactly_the_point_cap_is_built():
+    assert direct_product(trivial(2), trivial(POINT_CAP // 2)).size == POINT_CAP
 
 
 @pytest.mark.parametrize("params", [("dihedral", "100000000000000000000"), ("aknn", "10", "20")])
@@ -459,7 +477,7 @@ def test_cocycle_checks_over_the_point_cap_are_refused_before_any_work():
 def test_each_builder_counts_its_points_against_the_cap(monkeypatch):
     # With the bound at 6, each family builds its 6-point member and
     # refuses the next one, naming its point count.
-    monkeypatch.setattr(constructions, "POINT_CAP", 6)
+    monkeypatch.setattr(core, "POINT_CAP", 6)
     zero2, zero3 = CocycleTable(2, [[0] * 3] * 3), CocycleTable(3, [[0] * 3] * 3)
     cases = [
         (lambda: trivial(6), lambda: trivial(7), 7),
@@ -469,6 +487,7 @@ def test_each_builder_counts_its_points_against_the_cap(monkeypatch):
         (lambda: discrete_torus([3, 2]), lambda: discrete_torus([3, 3]), 9),
         (lambda: from_graph(graphs.complete(3)), lambda: from_graph(graphs.complete(4)), 8),
         (lambda: cocycle_extension(trivial(3), zero2), lambda: cocycle_extension(trivial(3), zero3), 9),
+        (lambda: direct_product(trivial(3), trivial(2)), lambda: direct_product(trivial(3), trivial(3)), 9),
     ]
     for build, refuse, points in cases:
         assert build().size == 6
@@ -480,7 +499,7 @@ def test_each_builder_counts_its_points_against_the_cap(monkeypatch):
 def test_parameters_are_checked_before_the_size(monkeypatch):
     # Every invalid torus order is found before the product is taken,
     # and aknn checks k and n before counting its points.
-    monkeypatch.setattr(constructions, "POINT_CAP", 6)
+    monkeypatch.setattr(core, "POINT_CAP", 6)
     with pytest.raises(InputError, match="order must be a positive integer, got 0"):
         discrete_torus([7, 0])
     with pytest.raises(InputError, match="need 1 <= k <= n, got k=30, n=20"):

@@ -15,7 +15,6 @@ from quandles import (
     AxiomReport,
     FiniteQuandle,
     InputError,
-    PointMap,
     ResourceLimitError,
     canonical_table,
     dihedral,
@@ -24,6 +23,7 @@ from quandles import (
     find_isomorphism,
     from_graph,
     is_homomorphism,
+    iter_isomorphisms,
     quandle_from_dict,
     quandle_to_dict,
     trivial,
@@ -279,20 +279,20 @@ def test_axiom_reports_match_the_oracle_on_generated_tables(rows):
 # ---------------------------------------------------------- homomorphisms
 
 def bijective(f):
-    """f maps its points one to one onto a set of the same size."""
-    return f.domain_size == f.codomain_size and sorted(f.images) == list(range(f.codomain_size))
+    """The image tuple f maps its points one to one onto themselves."""
+    return sorted(f) == list(range(len(f)))
 
 
 def test_identity_is_homomorphism():
     d3 = dihedral(3)
-    assert is_homomorphism(PointMap(3, 3, range(3)), d3, d3)
+    assert is_homomorphism(range(3), d3, d3)
 
 
 def test_constant_maps_into_trivial_are_homomorphisms():
     d3 = dihedral(3)
     t4 = trivial(4)
     for z in range(4):
-        assert is_homomorphism(PointMap(3, 4, (z, z, z)), d3, t4)
+        assert is_homomorphism((z, z, z), d3, t4)
 
 
 def test_sign_change_map_from_complete_graph_quandle_to_axes():
@@ -300,14 +300,20 @@ def test_sign_change_map_from_complete_graph_quandle_to_axes():
     for n in range(1, 5):
         qg = from_graph(graphs.complete(n))
         ax = axis_quandle(n)
-        f = PointMap(2 * n, 2 * n, tuple(2 * i + a for i in range(n) for a in (0, 1)))
+        f = tuple(2 * i + a for i in range(n) for a in (0, 1))
         assert is_homomorphism(f, qg, ax)
         assert bijective(f)
 
 
 def test_homomorphism_size_mismatch():
-    with pytest.raises(InputError):
-        is_homomorphism(PointMap(3, 3, (0, 1, 2)), dihedral(4), dihedral(4))
+    with pytest.raises(InputError, match="^3 images for domain of size 4$"):
+        is_homomorphism((0, 1, 2), dihedral(4), dihedral(4))
+    # The codomain is the second quandle itself.
+    with pytest.raises(InputError, match="^image of 2 is 3, out of range$"):
+        is_homomorphism((0, 0, 3), dihedral(3), trivial(3))
+    with pytest.raises(InputError, match="^image of 1 is -1, out of range$"):
+        is_homomorphism([0, -1, 2], dihedral(3), dihedral(3))
+    assert is_homomorphism((3, 3, 3), dihedral(3), trivial(4))
 
 
 # ------------------------------------------------------------ isomorphism
@@ -331,8 +337,14 @@ def test_dihedral3_not_isomorphic_to_trivial3():
     assert find_isomorphism(d3, t3) is None
     # exhaustive check over all six bijections
     for images in itertools.permutations(range(3)):
-        f = PointMap(3, 3, images)
-        assert not is_homomorphism(f, d3, t3)
+        assert not is_homomorphism(images, d3, t3)
+
+
+def test_find_isomorphism_is_the_first_one_listed():
+    a, b = aknn(2, 4), from_graph(graphs.parity_difference(4, 2))
+    f = find_isomorphism(a, b)
+    assert type(f) is tuple and f == next(iter_isomorphisms(a, b))
+    assert bijective(f) and is_homomorphism(f, a, b)
 
 
 def test_isomorphism_is_symmetric():
@@ -416,8 +428,8 @@ def test_product_sizes_multiply_and_projections_are_homomorphisms():
     q1, q2 = dihedral(3), dihedral(5)
     prod = direct_product(q1, q2)
     assert prod.size == 15
-    p1 = PointMap(15, 3, tuple(i // 5 for i in range(15)))
-    p2 = PointMap(15, 5, tuple(i % 5 for i in range(15)))
+    p1 = tuple(i // 5 for i in range(15))
+    p2 = tuple(i % 5 for i in range(15))
     assert is_homomorphism(p1, prod, q1)
     assert is_homomorphism(p2, prod, q2)
 
@@ -483,7 +495,7 @@ def test_enumeration_reps_pairwise_nonisomorphic():
                     assert f is None, (n, i, j)
                 else:
                     assert f is not None and is_homomorphism(f, q, r), (n, i)
-                    assert sorted(f.images) == list(range(n))
+                    assert sorted(f) == list(range(n))
 
 
 def test_enumeration_rejects_out_of_range():

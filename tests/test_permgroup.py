@@ -5,16 +5,12 @@ import random
 
 import pytest
 
-from quandles import InputError, PermGroup, Permutation
+from quandles import InputError, PermGroup
 from quandles import dihedral, direct_product, from_graph, graphs, group_chain, inner_group, trivial
 from quandles.permgroup import _cycle_type, _cycles, _gather, _Kernel, _noncommuting_pair
 from quandles.search import _find, _unite
 
 from helpers import closure_by_products, conjugate, cycle_type, first_noncommuting_rows, union_find_orbits
-
-
-def rows_of(q):
-    return [Permutation(r) for r in q.table]
 
 
 def plain_inverse(images):
@@ -37,36 +33,34 @@ def kernel_product(a, b):
 
 
 def test_compose_with_identity():
-    p, e = Permutation((2, 0, 1)), Permutation(range(3))
-    assert p.compose(e) == p
-    assert e.compose(p) == p
+    p, e = (2, 0, 1), tuple(range(3))
+    assert kernel_product(p, e) == p
+    assert kernel_product(e, p) == p
 
 
 def test_transposition_squares_to_identity():
-    t = Permutation((1, 0, 2))
-    assert t.compose(t).images == (0, 1, 2)
+    t = (1, 0, 2)
+    assert kernel_product(t, t) == (0, 1, 2)
 
 
 def test_composition_of_dihedral3_reflections():
-    s0, s1 = rows_of(dihedral(3))[:2]
-    assert s0.images == (0, 2, 1) and s1.images == (2, 1, 0)
+    s0, s1 = dihedral(3).table[:2]
+    assert s0 == (0, 2, 1) and s1 == (2, 1, 0)
     # s0 after s1 advances every point by one; the other order by two
-    assert s0.compose(s1).images == (1, 2, 0)
-    assert (s1 * s0).images == (2, 0, 1)
+    assert kernel_product(s0, s1) == (1, 2, 0)
+    assert kernel_product(s1, s0) == (2, 0, 1)
 
 
 def test_validation_errors():
-    with pytest.raises(InputError):
-        Permutation((0, 0, 2))
-    with pytest.raises(InputError):
-        Permutation((1, 0)).compose(Permutation((0, 1, 2)))
-    with pytest.raises(InputError):
-        PermGroup(3, [Permutation((1, 0))])
+    with pytest.raises(InputError, match=r"not a permutation of 0\.\.2: \(0, 0, 2\)"):
+        PermGroup(3, [(0, 0, 2)])
+    with pytest.raises(InputError, match="generator degree 2 does not match group degree 3"):
+        PermGroup(3, [(1, 0)])
 
 
 def test_inverse_and_cycle_type():
     p = (1, 2, 0, 4, 3)
-    assert Permutation(p).compose(Permutation(kernel_inverse(p))).images == tuple(range(5))
+    assert kernel_product(p, kernel_inverse(p)) == tuple(range(5))
     assert _cycle_type(p) == (2, 3)
     assert _cycle_type(tuple(range(4))) == (1, 1, 1, 1)
     rng = random.Random(29)
@@ -94,15 +88,14 @@ def test_cycles_are_read_from_their_smallest_points_in_order():
 
 
 # itemgetter with one index returns a scalar and with none fails, so the
-# tuple product serves only above 256 points; Permutation.compose at
-# degrees 0 and 1 takes the bytes form.
+# tuple product serves only above 256 points; the kernel at degrees 0
+# and 1 takes the bytes form.
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 257])
 def test_tuple_product_at_every_degree(n):
     rng = random.Random(n)
     for _ in range(5):
         a, b = (tuple(rng.sample(range(n), n)) for _ in range(2))
         assert kernel_product(a, b) == tuple(a[x] for x in b)
-        assert Permutation(a) * Permutation(b) == Permutation(kernel_product(a, b))
         if n > 256:
             kernel = _Kernel(n)
             assert kernel.gather(b, a) == _gather(b, a) == kernel.after(b)(a)
@@ -110,13 +103,12 @@ def test_tuple_product_at_every_degree(n):
 
 @pytest.mark.parametrize(
     "images",
-    [(1.0, 0), [0, "1"], (True, False), [0, None], ((0,), 1)],
+    [(1.0, 0), [0, "1"], (True, False), [0, None], ((0,), 1), [[0], 1]],
 )
 def test_permutation_rejects_non_integer_images(images):
     with pytest.raises(InputError, match="not a permutation of 0..1"):
-        Permutation(images)
-    with pytest.raises(InputError, match="not a permutation of 0..1"):
         PermGroup(2, [images])
+    assert images not in PermGroup(2, [(1, 0)])
 
 
 def test_permutation_accepts_int_subclass_images():
@@ -126,7 +118,56 @@ def test_permutation_accepts_int_subclass_images():
         A = 0
         B = 1
 
-    assert Permutation((Point.B, Point.A)).images == (1, 0)
+    group = PermGroup(2, [(Point.B, Point.A)])
+    assert group.generators == ((1, 0),) and group.order() == 2
+    assert (Point.B, Point.A) in group and [1, 0] in group
+
+
+def test_generators_of_every_sequence_type_give_one_group():
+    """Tuples, lists, bytes and IntEnum rows are the same generators."""
+    import enum
+
+    rows = dihedral(6).table
+    Point = enum.IntEnum("Point", [f"P{x}" for x in range(6)], start=0)
+    groups = [
+        PermGroup(6, rows),
+        PermGroup(6, [list(r) for r in rows]),
+        PermGroup(6, [bytes(r) for r in rows]),
+        PermGroup(6, [[Point(y) for y in r] for r in rows]),
+    ]
+    for group in groups:
+        assert group.generators == tuple(dict.fromkeys(rows))
+        assert group.order() == 6 and group.orbits() == ((0, 2, 4), (1, 3, 5))
+        assert group == groups[0]
+
+
+def test_membership_takes_image_sequences():
+    group = inner_group(dihedral(5))
+    # s_2 of dihedral(5) as a tuple, a list and bytes; a transposition
+    # is odd, so it lies outside the dihedral group of order 10.
+    for s2 in ((4, 3, 2, 1, 0), [4, 3, 2, 1, 0], bytes((4, 3, 2, 1, 0))):
+        assert s2 in group
+    assert (1, 0, 2, 3, 4) not in group
+    assert all(g in group for g in group.generators)
+
+
+@pytest.mark.parametrize(
+    "candidate",
+    [
+        (0, 0, 2, 3, 4),  # not a bijection
+        (0, 1, 2, 3, 5),  # out of range
+        (0, 1, 2, 3),  # wrong degree
+        (0, 1, 2, 3, 4, 5),  # wrong degree
+        (0.0, 1, 2, 3, 4),  # not ints
+        (False, True, 2, 3, 4),  # bools
+        "01234",  # a string of digits
+        7,  # no sequence
+        None,
+    ],
+)
+def test_non_permutations_are_not_members(candidate):
+    assert candidate not in inner_group(dihedral(5))
+    assert candidate not in PermGroup(5)
 
 
 @pytest.mark.parametrize("degree", [-1, True, False, 2.0, "3", None])
@@ -140,7 +181,7 @@ def test_group_degree_must_be_a_nonnegative_integer(degree):
 def test_empty_generating_set_gives_trivial_group():
     g = PermGroup(4)
     assert g.order() == 1
-    assert closure_by_products(4, [p.images for p in g.generators]) == {tuple(range(4))}
+    assert closure_by_products(4, g.generators) == {tuple(range(4))}
     assert PermGroup(0).order() == 1
 
 
@@ -210,7 +251,7 @@ def residue_counts(group):
     """Per level of the stabilizer chain, how many of its strong generators
     are residues found by Schreier-Sims rather than input generators."""
     kernel, chain = group._stabilizer_chain()
-    given = {kernel.embed(g.images) for g in group.generators}
+    given = {kernel.embed(g) for g in group.generators}
     return [sum(s not in given for s in level.gens) for level in chain]
 
 
@@ -233,12 +274,12 @@ def test_order_and_membership_match_sympy():
                 p = tuple(q[i] for i in p)
             probes.append(p)
         for p in probes:
-            assert (Permutation(p) in g) == oracle.contains(SymPerm(list(p))), (degree, gens, p)
+            assert (p in g) == oracle.contains(SymPerm(list(p))), (degree, gens, p)
     # Some chains gained two or more strong generators at one level, so
     # checking resumed there after each with only the untested pairs.
     assert resumed >= 3
-    assert Permutation((1, 0)) not in PermGroup(3)
-    assert (1, 0, 2) not in PermGroup(3, [(1, 0, 2)])
+    assert (1, 0) not in PermGroup(3)
+    assert (1, 0, 2) in PermGroup(3, [(1, 0, 2)]) and (0, 2, 1) not in PermGroup(3, [(1, 0, 2)])
 
 
 # 256 points and fewer take the bytes encoding, more the tuple one.
@@ -292,7 +333,7 @@ def tuple_form_groups():
     dihedral(257), of order 514, and seeded products of disjoint short
     cycles at 257 and 300 points.  (S_n would take sympy minutes there.)"""
     rng = random.Random(257)
-    cases = [(257, [p.images for p in inner_group(dihedral(257)).generators])]
+    cases = [(257, list(inner_group(dihedral(257)).generators))]
     for degree in (257, 300):
         cases += [(degree, [disjoint_short_cycles(rng, degree, 3) for _ in range(2)]) for _ in range(2)]
     return cases
@@ -318,7 +359,7 @@ def test_tuple_form_orders_and_membership_match_sympy():
                 p = tuple(g[x] for x in p)
             probes += [p, (p[1], p[0]) + p[2:]]
         for p in probes:
-            assert (Permutation(p) in group) == oracle.contains(SymPerm(list(p))), (degree, p)
+            assert (p in group) == oracle.contains(SymPerm(list(p))), (degree, p)
     assert orders[0] == 514
 
 
@@ -344,21 +385,21 @@ def test_chain_levels_store_one_element_per_orbit_point():
                 assert type(w) is type(kernel.ident) and len(w) == len(kernel.ident)
                 assert sorted(w) == list(range(len(w)))
                 assert w[p] == level.point
-                assert Permutation(w[: group.degree]) in group
+                assert w[: group.degree] in group
 
 
 def test_chains_above_256_points_survive_pickle_and_deepcopy():
     degree, gens = large_generator_sets(random.Random(73))[0]
     group = PermGroup(degree, gens)
     assert group.order() == 600
-    rotation = Permutation(gens[0])
+    rotation = gens[0]
     for twin in (copy.deepcopy(group), pickle.loads(pickle.dumps(group))):
         kernel, chain = twin._chain
         assert kernel.degree == degree and kernel.ident == tuple(range(degree))
         assert kernel.scatter(kernel.embed(gens[0]), kernel.ident) == plain_inverse(gens[0])
         assert twin.order() == 600 and len(chain) == len(group._chain[1])
-        assert rotation * rotation in twin
-        assert Permutation((1, 0) + tuple(range(2, degree))) not in twin
+        assert kernel_product(rotation, rotation) in twin
+        assert (1, 0) + tuple(range(2, degree)) not in twin
 
 
 def test_groups_refuse_assignment_and_deletion():
@@ -406,9 +447,7 @@ def test_orbits_refine_under_generator_removal():
     rng = random.Random(11)
     degree = 7
     for _ in range(20):
-        perms = [
-            Permutation(tuple(rng.sample(range(degree), degree))) for _ in range(3)
-        ]
+        perms = [tuple(rng.sample(range(degree), degree)) for _ in range(3)]
         full = PermGroup(degree, perms).orbits()
         sub = PermGroup(degree, perms[:2]).orbits()
         lookup = {}
@@ -459,7 +498,7 @@ def test_transitivity():
 # --------------------------------------------------------------- abelianness
 
 def test_single_generator_is_abelian():
-    assert PermGroup(4, [Permutation((1, 2, 3, 0))]).is_abelian()
+    assert PermGroup(4, [(1, 2, 3, 0)]).is_abelian()
 
 
 def test_dihedral3_inner_group_is_not_abelian():
@@ -470,14 +509,11 @@ def test_generator_check_agrees_with_materialized_check():
     rng = random.Random(23)
     for _ in range(25):
         degree = rng.randint(1, 5)
-        gens = [
-            Permutation(tuple(rng.sample(range(degree), degree)))
-            for _ in range(rng.randint(0, 3))
-        ]
+        gens = [tuple(rng.sample(range(degree), degree)) for _ in range(rng.randint(0, 3))]
         g = PermGroup(degree, gens)
-        elements = [Permutation(e) for e in closure_by_products(degree, [p.images for p in gens])]
+        elements = closure_by_products(degree, gens)
         full = all(
-            a.compose(b) == b.compose(a)
+            tuple(a[x] for x in b) == tuple(b[x] for x in a)
             for a, b in itertools.combinations(elements, 2)
         )
         assert g.is_abelian() == full

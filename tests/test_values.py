@@ -22,13 +22,13 @@ from quandles import (
     GroupChain,
     InputError,
     OrderCensus,
-    Permutation,
-    PointMap,
+    PermGroup,
     PropertyReport,
     SimpleGraph,
     dihedral,
     from_graph,
     group_chain,
+    is_homomorphism,
     to_graph,
     trivial,
 )
@@ -39,7 +39,7 @@ GROUPS = (CHAIN.displacement, CHAIN.even_inner, CHAIN.inner, CHAIN.aut)
 T1 = trivial(1)
 PROPS = (True, None, False, True, False, True, False, ((0, 1), (2,)))
 P2 = SimpleGraph(2, [(0, 1)])
-IDENTITY4 = PointMap(4, 4, (0, 1, 2, 3))
+IDENTITY4 = (0, 1, 2, 3)
 
 # class, field names, two argument tuples differing in one field, repr of the first
 RECORDS = [
@@ -49,20 +49,6 @@ RECORDS = [
         (True, False, True, ("Q2", (0, 0, 1))),
         (True, False, True, ("Q2", (0, 0, 2))),
         "AxiomReport(q1_ok=True, q2_ok=False, q3_ok=True, first_violation=('Q2', (0, 0, 1)))",
-    ),
-    (
-        PointMap,
-        ("domain_size", "codomain_size", "images"),
-        (2, 3, (2, 0)),
-        (2, 3, (2, 1)),
-        "PointMap(domain_size=2, codomain_size=3, images=(2, 0))",
-    ),
-    (
-        Permutation,
-        ("images",),
-        ((1, 2, 0),),
-        ((2, 0, 1),),
-        "Permutation(images=(1, 2, 0))",
     ),
     (
         CocycleCheck,
@@ -155,9 +141,8 @@ RECORDS = [
         GraphReconstruction,
         ("graph", "relabeling"),
         (P2, IDENTITY4),
-        (P2, PointMap(4, 4, (1, 0, 2, 3))),
-        "GraphReconstruction(graph=SimpleGraph(vertices=2, edges=1), "
-        "relabeling=PointMap(domain_size=4, codomain_size=4, images=(0, 1, 2, 3)))",
+        (P2, (1, 0, 2, 3)),
+        "GraphReconstruction(graph=SimpleGraph(vertices=2, edges=1), relabeling=(0, 1, 2, 3))",
     ),
 ]
 IDS = [r[0].__name__ for r in RECORDS]
@@ -188,7 +173,6 @@ def test_equality_and_hash_go_by_class_and_fields(cls, fields, args, other, text
 def test_records_with_equal_fields_differ_across_classes():
     assert CocycleCheck(True, None) != AxiomReport(True, None, None)
     assert CocycleCheck(True) != CensusSurvivor(True, None)
-    assert Permutation((0, 1)) != PointMap(2, 2, (0, 1))
     assert GraphReconstruction(P2, IDENTITY4) != (P2, IDENTITY4)
 
 
@@ -258,27 +242,21 @@ def test_defaults():
 
 
 def test_sequences_are_stored_as_tuples():
-    assert Permutation([1, 0]).images == (1, 0)
-    assert PointMap(2, 2, [1, 0]).images == (1, 0)
-
-
-def test_permutations_sort_by_images():
-    perms = [Permutation(p) for p in [(1, 0, 2), (0, 2, 1), (2, 1, 0), (0, 1, 2)]]
-    assert [p.images for p in sorted(perms)] == [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)]
-    a, b = Permutation((0, 1)), Permutation((1, 0))
-    assert a < b and a <= b and b > a and b >= a and a <= a and a >= a
-    with pytest.raises(TypeError):
-        a < (1, 0)
+    assert PermGroup(2, [[1, 0]]).generators == ((1, 0),)
+    assert CocycleTable(2, [[0, 1], [1, 0]]).values == ((0, 1), (1, 0))
+    assert to_graph(from_graph(P2)).relabeling == (0, 1, 2, 3)
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Permutation([0, 0]), "not a permutation of 0..1: (0, 0)"),
-        (lambda: Permutation((1, 2)), "not a permutation of 0..1: (1, 2)"),
-        (lambda: PointMap(2, 2, [0]), "1 images for domain of size 2"),
-        (lambda: PointMap(2, 2, [0, 2]), "image of 1 is 2, out of range"),
-        (lambda: PointMap(1, 1, [True]), "image of 0 is True, out of range"),
+        (lambda: PermGroup(2, [[0, 0]]), "not a permutation of 0..1: (0, 0)"),
+        (lambda: PermGroup(2, [(1, 2)]), "not a permutation of 0..1: (1, 2)"),
+        (lambda: PermGroup(2, [(True, False)]), "not a permutation of 0..1: (True, False)"),
+        (lambda: PermGroup(3, [b"\x01\x00"]), "generator degree 2 does not match group degree 3"),
+        (lambda: is_homomorphism([0], trivial(2), trivial(2)), "1 images for domain of size 2"),
+        (lambda: is_homomorphism([0, 2], trivial(2), trivial(2)), "image of 1 is 2, out of range"),
+        (lambda: is_homomorphism([True], T1, T1), "image of 0 is True, out of range"),
     ],
 )
 def test_validation_messages(build, message):
