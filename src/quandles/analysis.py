@@ -24,8 +24,9 @@ from .search import DEFAULT_NODE_BUDGET, automorphism_generators, is_transitive,
 
 
 def inner_group(q: FiniteQuandle) -> PermGroup:
-    """Group generated by the point symmetries (the rows)."""
-    return PermGroup(q.size, q.table)
+    """Group generated by the point symmetries: the distinct rows, which
+    the table's own check has already found to be permutations."""
+    return PermGroup(q.size, dict.fromkeys(q.table))
 
 
 def _displacement_generators(q: FiniteQuandle) -> list:

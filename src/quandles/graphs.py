@@ -8,9 +8,11 @@ algorithm works on indices only.
 from __future__ import annotations
 
 import itertools
+import math
 
+from . import core
 from ._record import Record
-from .errors import InputError
+from .errors import InputError, ResourceLimitError
 from .permgroup import PermGroup
 from .search import automorphism_generators, graph_structure, is_transitive
 
@@ -55,7 +57,16 @@ class SimpleGraph(Record):
         return self.labels[v] if self.labels else str(v)
 
 
+def _admit_vertices(vertices: int) -> None:
+    """Refuse a graph of more than core.POINT_CAP vertices, before any work."""
+    if vertices > core.POINT_CAP:
+        raise ResourceLimitError(f"the graph would have {vertices} vertices, over the bound of {core.POINT_CAP}")
+
+
 def _adjacency_masks(g: SimpleGraph) -> list[int]:
+    """One bitmask of neighbours per vertex; refuses more than
+    core.POINT_CAP vertices first."""
+    _admit_vertices(g.vertex_count)
     masks = [0] * g.vertex_count
     for u, v in g.edges:
         masks[u] |= 1 << v
@@ -91,6 +102,7 @@ def empty(n: int) -> SimpleGraph:
 
 def complete(n: int) -> SimpleGraph:
     _require_positive(n)
+    _admit_vertices(n)
     return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -134,6 +146,7 @@ def _subset_graph(n, k, joined):
     _require_positive(n)
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
         raise InputError(f"need 1 <= k <= n, got k={k!r}, n={n!r}")
+    _admit_vertices(math.comb(n, k))
     subsets = list(itertools.combinations(range(1, n + 1), k))
     sets = list(map(set, subsets))
     edges = [(i, j) for i, j in itertools.combinations(range(len(sets)), 2) if joined(sets[i], sets[j])]

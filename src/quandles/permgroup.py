@@ -5,12 +5,15 @@ Groups are given by generators.  Order and membership are decided on a
 stabilizer chain.  A group known only by its generators gets one from
 deterministic Schreier-Sims that resumes instead of restarting (Sims
 1970; Seress, Permutation Group Algorithms, CUP 2003, ch. 4; Holt, Eick
-and O'Brien, Handbook of Computational Group Theory, 2005, sec. 4.4).  A
-group given as a strong generating set for a known base, as the
-automorphism search returns it, has its chain read off level by level
-with no Schreier generator tested.  This module is the one place that
-walks cycles (_cycles) and stores permutations (_Kernel, the form of
-chain elements and of every row product elsewhere, with its two
+and O'Brien, Handbook of Computational Group Theory, 2005, sec. 4.4):
+each generator, and then each Schreier generator, is sifted through the
+chain built so far and kept, as its residue, only if it is not already
+in the group that chain gives.  A group given as a strong generating set
+for a known base, as the automorphism search returns it, has its chain
+read off level by level with no Schreier generator tested
+(_known_base_chain, for _from_base only).  This module is the one place
+that walks cycles (_cycles) and stores permutations (_Kernel, the form
+of chain elements and of every row product elsewhere, with its two
 primitives gather, a o b, and scatter, a o b^-1; no inverse is stored).
 Everywhere else, the public API included, a permutation is its tuple of
 images.  Orbits, transitivity and abelianness need only the generators.
@@ -178,8 +181,22 @@ def _sift(chain, g, start, kernel):
     return g, len(chain)
 
 
-def _first_moved(g, ident):
-    return next(x for x, y in enumerate(ident) if g[x] != y)
+def _sift_in(chain, g, start, kernel):
+    """The one way into a chain under construction.  Sift g through
+    chain[start:]; unless it sifts to the identity, make the residue a
+    strong generator of every level from start down to the one where it
+    left the chain, with a new level at the residue's first moved point
+    if it went all the way through.  The index of that last level, or
+    None."""
+    h, j = _sift(chain, g, start, kernel)
+    ident = kernel.ident
+    if j == len(chain):
+        if h == ident:
+            return None
+        chain.append(_Level(next(x for x, y in enumerate(ident) if h[x] != y), ident))
+    for level in chain[start : j + 1]:
+        level.add([h], kernel.scatter)
+    return j
 
 
 def _schreier_sims(kernel, gens) -> list[_Level]:
@@ -187,72 +204,57 @@ def _schreier_sims(kernel, gens) -> list[_Level]:
 
     Deterministic Schreier-Sims that resumes instead of restarting
     (Seress, Permutation Group Algorithms, ch. 4).  It starts from the
-    chain that the generators give for a base no generator fixes
-    pointwise.  Then, from the deepest level up, every Schreier generator
-    w_{s(p)} s w_p^-1 of a level that is not the identity (w_{s(p)} s !=
-    w_p) is sifted through the deeper levels.  A residue that does not
-    sift to the identity becomes a strong generator of every deeper level
-    it fixes the base points of (with a new base point if it fixes them
-    all), and checking moves to the deepest level it was added to.  Each
-    (p, s) pair is tested once: the deeper levels' groups only grow and
+    empty chain and sifts every generator in from level 0, so one that
+    the earlier ones already give is never kept.  Then, from the deepest
+    level up, every Schreier generator w_{s(p)} s w_p^-1 of a level is
+    sifted in from the next level, unless it is the identity (w_{s(p)} s
+    = w_p) or s itself: a strong generator that fixes a level's base
+    point was added to the next level too.  After a residue is kept,
+    checking moves to the deepest level it was added to.  Each (p, s)
+    pair is tested once: the deeper levels' groups only grow and
     representatives are never replaced, so a Schreier generator that lay
     in them still does.  When every pair is tested, each level's strong
     generators generate the pointwise stabilizer of the earlier base
     points.
     """
     gather, scatter, ident = kernel.gather, kernel.scatter, kernel.ident
-    gens = [g for g in gens if g != ident]
-    base = []
+    chain = []
     for g in gens:
-        if all(g[b] == b for b in base):
-            base.append(_first_moved(g, ident))
-    chain = _known_base_chain(kernel, base, gens)
-
+        _sift_in(chain, g, 0, kernel)
     i = len(chain) - 1
     while i >= 0:
         level = chain[i]
         strong, trans, tested = level.gens, level.transversal, level.tested
-        residue = None
+        j = None
         for k, p in enumerate(level.orbit):
             w_p, u_p = trans[p], None
-            while tested[k] < len(strong):
+            while j is None and tested[k] < len(strong):
                 s = strong[tested[k]]
                 tested[k] += 1
                 q = s[p]
                 if q == p == level.point:
-                    # The Schreier generator is s, a strong generator of
-                    # the next level: every generator that fixes a
-                    # level's base point was added to the level below.
-                    continue
+                    continue  # the Schreier generator is s
                 ws = gather(s, trans[q])
                 if ws == w_p:
                     continue
                 if u_p is None:
                     u_p = scatter(w_p, ident)
-                h, j = _sift(chain, gather(u_p, ws), i + 1, kernel)
-                if j < len(chain) or h != ident:
-                    residue = h, j
-                    break
-            if residue:
+                h = gather(u_p, ws)
+                if h != s:
+                    j = _sift_in(chain, h, i + 1, kernel)
+            if j is not None:
                 break
-        if residue is None:
-            i -= 1
-            continue
-        h, j = residue
-        if j == len(chain):
-            chain.append(_Level(_first_moved(h, ident), ident))
-        for deeper in chain[i + 1 : j + 1]:
-            deeper.add([h], scatter)
-        i = j
+        i = i - 1 if j is None else j
     return chain
 
 
 def _known_base_chain(kernel, base, gens) -> list[_Level]:
-    """The chain that gens (stored form) give for the base points base:
-    level i is the orbit of b_i under the generators that fix
-    b_1..b_{i-1}.  It is the stabilizer chain of the group they generate
-    when they are a strong generating set for that base.  Levels with a
-    trivial orbit are left out; they change neither orders nor sifting."""
+    """The chain that gens (stored form) give for the base points base,
+    for PermGroup._from_base only: level i is the orbit of b_i under the
+    generators that fix b_1..b_{i-1}.  It is the stabilizer chain of the
+    group they generate when they are a strong generating set for that
+    base.  Levels with a trivial orbit are left out; they change neither
+    orders nor sifting."""
     chain = []
     fixing = gens
     for b in base:
@@ -280,17 +282,13 @@ class PermGroup:
         if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
             raise InputError("group degree must be a nonnegative integer")
         gens = [tuple(g) for g in generators]
-        try:
-            gens = tuple(dict.fromkeys(gens))
-        except TypeError:  # an unhashable entry, which the check refuses
-            gens = tuple(gens)
         for g in gens:
             if not _is_permutation(g):
                 raise InputError(f"not a permutation of 0..{len(g) - 1}: {g!r}")
             if len(g) != degree:
                 raise InputError(f"generator degree {len(g)} does not match group degree {degree}")
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "generators", gens)
+        object.__setattr__(self, "generators", tuple(dict.fromkeys(gens)))
 
     # Read-only like a Record, but not equal by its generators: equal
     # groups can have different generating sets.  The base and chain

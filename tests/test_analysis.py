@@ -325,6 +325,9 @@ def test_dihedral_401_automorphism_order_matches_its_closed_form():
     aut = automorphism_group(q)
     assert aut.order() == 401 * euler_phi(401) == 160_400
     assert aut.is_transitive() and characterize(q).homogeneous is True
+    # Inn(R_n) is the dihedral group of order 2n and Dis(R_n) its
+    # rotations, for odd n.
+    assert inner_group(q).order() == 802 and displacement_group(q).order() == 401
 
 
 @pytest.mark.slow

@@ -444,6 +444,26 @@ def test_tables_over_the_point_cap_are_refused_before_any_work(call, points):
     assert proc.stdout == f"the table would have {points} points, over the bound of {POINT_CAP}\n"
 
 
+def test_graphs_over_the_point_cap_are_refused_before_any_work():
+    # The two symmetry calls refuse before the n x n colour structure,
+    # and the families before listing their subsets or vertex pairs.
+    calls = [
+        ("is_vertex_transitive(SimpleGraph(50000))", 50000),
+        ("graph_automorphisms(SimpleGraph(50000))", 50000),
+        ("johnson(30, 15)", 155117520),
+        ("parity_difference(30, 15)", 155117520),
+        ("complete(10**5)", 10**5),
+    ]
+    code = "from quandles import *\nfrom quandles.graphs import *\n" + "".join(
+        f"try:\n    {call}\nexcept ResourceLimitError as exc:\n    print(exc)\n" for call, _ in calls
+    )
+    proc = run_limited("-c", code)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "".join(
+        f"the graph would have {vertices} vertices, over the bound of {POINT_CAP}\n" for _, vertices in calls
+    )
+
+
 def test_a_product_of_exactly_the_point_cap_is_built():
     assert direct_product(trivial(2), trivial(POINT_CAP // 2)).size == POINT_CAP
 

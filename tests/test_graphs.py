@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from quandles import InputError, SimpleGraph, find_isomorphism, from_graph, is_homomorphism
+from quandles import InputError, ResourceLimitError, SimpleGraph, core, find_isomorphism, from_graph, is_homomorphism
 from quandles.graphs import (
     complete,
     cycle,
@@ -62,6 +62,23 @@ def test_builders_shapes():
         empty(0)
     with pytest.raises(InputError):
         johnson(3, 4)
+
+
+def test_graph_builders_and_searches_count_vertices_against_the_cap(monkeypatch):
+    # The bound is read at call time.
+    monkeypatch.setattr(core, "POINT_CAP", 6)
+    assert complete(6).vertex_count == johnson(4, 2).vertex_count == 6
+    assert is_vertex_transitive(complete(6)) and graph_automorphisms(johnson(4, 2)).order() == 48
+    for refuse, vertices in [
+        (lambda: complete(7), 7),
+        (lambda: johnson(5, 2), 10),
+        (lambda: parity_difference(7, 1), 7),
+        (lambda: is_vertex_transitive(SimpleGraph(7)), 7),
+        (lambda: graph_automorphisms(path(8)), 8),
+    ]:
+        with pytest.raises(ResourceLimitError) as info:
+            refuse()
+        assert str(info.value) == f"the graph would have {vertices} vertices, over the bound of 6"
 
 
 def test_parity_difference_with_singletons_is_complete():

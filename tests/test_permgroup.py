@@ -6,7 +6,7 @@ import random
 import pytest
 
 from quandles import InputError, PermGroup
-from quandles import dihedral, direct_product, from_graph, graphs, group_chain, inner_group, trivial
+from quandles import aknn, dihedral, direct_product, discrete_torus, from_graph, graphs, group_chain, inner_group, trivial
 from quandles.permgroup import _cycle_type, _cycles, _gather, _Kernel, _noncommuting_pair
 from quandles.search import _find, _unite
 
@@ -109,6 +109,13 @@ def test_permutation_rejects_non_integer_images(images):
     with pytest.raises(InputError, match="not a permutation of 0..1"):
         PermGroup(2, [images])
     assert images not in PermGroup(2, [(1, 0)])
+
+
+def test_every_generator_is_checked_before_duplicates_are_dropped():
+    # A bool row equal to an int row is refused in either order.
+    for gens in ([(1, 0), (True, False)], [(True, False), (1, 0)]):
+        with pytest.raises(InputError, match="not a permutation of 0..1"):
+            PermGroup(2, gens)
 
 
 def test_permutation_accepts_int_subclass_images():
@@ -261,6 +268,8 @@ def test_order_and_membership_match_sympy():
 
     rng = random.Random(71)
     cases = random_generator_sets(rng) + large_generator_sets(random.Random(73))
+    # The rows of two quandles, most of them redundant as generators.
+    cases += [(q.size, list(q.table)) for q in (discrete_torus((3, 3, 5)), aknn(3, 6))]
     resumed = 0
     for degree, gens in cases:
         g = PermGroup(degree, gens)
@@ -280,6 +289,22 @@ def test_order_and_membership_match_sympy():
     assert resumed >= 3
     assert (1, 0) not in PermGroup(3)
     assert (1, 0, 2) in PermGroup(3, [(1, 0, 2)]) and (0, 2, 1) not in PermGroup(3, [(1, 0, 2)])
+
+
+def test_redundant_generators_are_not_kept_as_strong_generators():
+    # Each generator is sifted into the chain built so far, so rows that
+    # the earlier rows already give are dropped: Inn(R_255) needs 2 of its
+    # 255 rows, and the elementary abelian Inn of Q(J(9,4)) keeps
+    # log2 |Inn| = 56 of 126 distinct rows.
+    cases = [
+        (inner_group(dihedral(255)), 2),
+        (inner_group(aknn(3, 6)), 6),
+        (inner_group(from_graph(graphs.johnson(9, 4))), 56),
+    ]
+    for group, kept in cases:
+        chain = group._stabilizer_chain()[1]
+        assert len({s for level in chain for s in level.gens}) == kept
+    assert cases[2][0].order() == 2**56
 
 
 # 256 points and fewer take the bytes encoding, more the tuple one.
