@@ -31,14 +31,16 @@ ENUMERATION_CAP = 7
 # n-tuples for d distinct rows: on the graph quandle of a cycle (d = n/2)
 # one check took 2.9 s at 600 points, 12.9 s at 1000 and 82 s at 2000
 # (Python 3.11, 2-core VM).  A module constant, with no setting; every
-# builder and loader applies it through _admit.
+# builder and loader, and every graph, applies it through _admit.
 POINT_CAP = 2048
 
 
-def _admit(points: int) -> None:
-    """Refuse a table of more than POINT_CAP points, before any work."""
-    if points > POINT_CAP:
-        raise ResourceLimitError(f"the table would have {points} points, over the bound of {POINT_CAP}")
+def _admit(count: int, what: str = "the table would have", unit: str = "points", bound: int | None = None) -> None:
+    """The package's one size check: refuse a count over bound (POINT_CAP,
+    read at call time) before any work, naming what, count and unit."""
+    bound = POINT_CAP if bound is None else bound
+    if count > bound:
+        raise ResourceLimitError(f"{what} {count} {unit}, over the bound of {bound}")
 
 
 # The most relabelings canonical_table compares (dihedral(13) has 599,040).
@@ -381,11 +383,7 @@ def canonical_table(q) -> tuple[tuple[int, ...], ...]:
         if row[x] != x or len(set(row)) != n:
             raise InputError(f"row {x} is not a permutation fixing {x}")
     p = min(_least_of_type(t) for t in {_cycle_type(r) for r in rows})
-    size = _slice_size(rows, p)
-    if size > CANONICAL_SLICE_CAP:
-        raise ResourceLimitError(
-            f"canonical_table would compare {size} relabelings, over the bound of {CANONICAL_SLICE_CAP}"
-        )
+    _admit(_slice_size(rows, p), "canonical_table would compare", "relabelings", CANONICAL_SLICE_CAP)
     return _unflatten(min(_orbit_slice(rows, p, _listings(p))), n)
 
 

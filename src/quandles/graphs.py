@@ -12,7 +12,7 @@ import math
 
 from . import core
 from ._record import Record
-from .errors import InputError, ResourceLimitError
+from .errors import InputError
 from .permgroup import PermGroup
 from .search import automorphism_generators, graph_structure, is_transitive
 
@@ -59,8 +59,7 @@ class SimpleGraph(Record):
 
 def _admit_vertices(vertices: int) -> None:
     """Refuse a graph of more than core.POINT_CAP vertices, before any work."""
-    if vertices > core.POINT_CAP:
-        raise ResourceLimitError(f"the graph would have {vertices} vertices, over the bound of {core.POINT_CAP}")
+    core._admit(vertices, "the graph would have", "vertices")
 
 
 def _adjacency_masks(g: SimpleGraph) -> list[int]:
@@ -109,17 +108,20 @@ def complete(n: int) -> SimpleGraph:
 def cycle(n: int) -> SimpleGraph:
     if not isinstance(n, int) or isinstance(n, bool) or n < 3:
         raise InputError(f"a cycle needs at least 3 vertices, got {n!r}")
+    _admit_vertices(n)
     return SimpleGraph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def path(n: int) -> SimpleGraph:
     _require_positive(n)
+    _admit_vertices(n)
     return SimpleGraph(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def star(n: int) -> SimpleGraph:
     """n vertices total: hub 0 joined to every other vertex."""
     _require_positive(n)
+    _admit_vertices(n)
     return SimpleGraph(n, [(0, v) for v in range(1, n)])
 
 

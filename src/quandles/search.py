@@ -8,7 +8,8 @@ The search sees a structure on points 0..n-1 as two things:
   colour(y, b) == colour(x, a);
 - optionally a binary operation, given as a table: once x and a have
   images y and b, the image of table[x][a] is forced to be table[y][b],
-  and that of table[a][x] to be table[b][y].
+  and that of table[a][x] to be table[b][y].  A forced point that has
+  another image already is a contradiction, found as its pair is taken.
 
 An isomorphism permutes each colour row, so the number of pairs of each
 colour in x's row is an invariant of x, read off the colour rows as
@@ -171,7 +172,9 @@ class _Search:
 
     def extend(self, img, dom, x, y) -> bool:
         """Assign x -> y and everything it forces, narrowing the candidates
-        of the other points; False on a contradiction."""
+        of the other points; False on a contradiction.  A clash, a forced
+        point that already has another image, is found in one place: as
+        its pair leaves the queue."""
         colours, masks = self.colours, self.masks
         t1, t2 = self.tables
         u1, u2 = self.columns
@@ -198,16 +201,10 @@ class _Search:
                     dom[a] = d
                 elif t1 is not None:
                     c, z = r1[a], r2[b]
-                    w = img[c]
-                    if w != z:
-                        if w >= 0:
-                            return False
+                    if img[c] != z:
                         pending.append((c, z))
                     c, z = k1[a], k2[b]
-                    w = img[c]
-                    if w != z:
-                        if w >= 0:
-                            return False
+                    if img[c] != z:
                         pending.append((c, z))
         return True
 
@@ -261,23 +258,25 @@ def _twin_classes(s: Structure) -> list[list[int]]:
     (a c) = (a b)(b c)(a b).  In a graph, false twins have equal
     adjacency rows and true twins equal rows once each has its own bit
     set, and no vertex has both kinds.  Quandle twins have equal colour
-    rows, so only such points are compared: a and b are twins exactly
-    when their rows are equal and every row r has {r[a], r[b]} == {a, b}.
+    rows, so only such points are compared, and their rows are equal:
+    a and b are twins exactly when every row r has {r[a], r[b]} == {a, b}.
     """
     if s.table is None:
         closed = [row[:x] + b"\1" + row[x + 1 :] for x, row in enumerate(s.colours)]
         return [c for keys in (s.colours, closed) for c in _buckets(keys) if len(c) > 1]
-    rows, columns, classes = s.table, None, []
+    columns, classes = None, []
     for bucket in _buckets(s.colours):
         if len(bucket) < 2:
             continue
         if columns is None:
-            columns = list(zip(*rows))
+            columns = list(zip(*s.table))
         found = []
         for a in bucket:
             for c in found:
+                # Bit 2 of a colour is "equal rows", and it is set in
+                # colours[a][a] == colours[b][a]: so rows[a] == rows[b].
                 b = c[0]
-                if rows[a] == rows[b] and set(zip(columns[a], columns[b])) <= {(a, b), (b, a)}:
+                if set(zip(columns[a], columns[b])) <= {(a, b), (b, a)}:
                     c.append(a)
                     break
             else:

@@ -446,13 +446,16 @@ def test_tables_over_the_point_cap_are_refused_before_any_work(call, points):
 
 def test_graphs_over_the_point_cap_are_refused_before_any_work():
     # The two symmetry calls refuse before the n x n colour structure,
-    # and the families before listing their subsets or vertex pairs.
+    # and the families before listing their subsets, vertex pairs or edges.
     calls = [
         ("is_vertex_transitive(SimpleGraph(50000))", 50000),
         ("graph_automorphisms(SimpleGraph(50000))", 50000),
         ("johnson(30, 15)", 155117520),
         ("parity_difference(30, 15)", 155117520),
         ("complete(10**5)", 10**5),
+        ("cycle(10**8)", 10**8),
+        ("path(10**8)", 10**8),
+        ("star(10**8)", 10**8),
     ]
     code = "from quandles import *\nfrom quandles.graphs import *\n" + "".join(
         f"try:\n    {call}\nexcept ResourceLimitError as exc:\n    print(exc)\n" for call, _ in calls

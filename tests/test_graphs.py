@@ -68,13 +68,17 @@ def test_graph_builders_and_searches_count_vertices_against_the_cap(monkeypatch)
     # The bound is read at call time.
     monkeypatch.setattr(core, "POINT_CAP", 6)
     assert complete(6).vertex_count == johnson(4, 2).vertex_count == 6
+    assert cycle(6).vertex_count == path(6).vertex_count == star(6).vertex_count == 6
     assert is_vertex_transitive(complete(6)) and graph_automorphisms(johnson(4, 2)).order() == 48
     for refuse, vertices in [
         (lambda: complete(7), 7),
         (lambda: johnson(5, 2), 10),
         (lambda: parity_difference(7, 1), 7),
+        (lambda: cycle(7), 7),
+        (lambda: path(8), 8),
+        (lambda: star(9), 9),
         (lambda: is_vertex_transitive(SimpleGraph(7)), 7),
-        (lambda: graph_automorphisms(path(8)), 8),
+        (lambda: graph_automorphisms(SimpleGraph(8, [(0, 1)])), 8),
     ]:
         with pytest.raises(ResourceLimitError) as info:
             refuse()

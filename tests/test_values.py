@@ -25,6 +25,7 @@ from quandles import (
     PermGroup,
     PropertyReport,
     SimpleGraph,
+    canonical_table,
     dihedral,
     from_graph,
     group_chain,
@@ -257,6 +258,14 @@ def test_sequences_are_stored_as_tuples():
         (lambda: is_homomorphism([0], trivial(2), trivial(2)), "1 images for domain of size 2"),
         (lambda: is_homomorphism([0, 2], trivial(2), trivial(2)), "image of 1 is 2, out of range"),
         (lambda: is_homomorphism([True], T1, T1), "image of 0 is True, out of range"),
+        (lambda: FiniteQuandle([[0]], ["a", "b"]), "2 labels for 1 points"),
+        (lambda: canonical_table([[0] * 257] * 257), "canonical_table takes at most 256 points, got 257"),
+        (lambda: CocycleTable(1, [[0]]), "modulus must be an integer >= 2, got 1"),
+        (lambda: CocycleTable(2, 5), "cocycle values must be a sequence of rows"),
+        (lambda: CocycleTable(2, []), "cocycle table must have at least one row"),
+        (lambda: CocycleTable(2, [[0, 1], [0]]), "cocycle table is not square: row 1 has length 1"),
+        (lambda: CocycleTable(2, [[0, 1.5], [0, 0]]), "cocycle entry 1.5 is not an integer"),
+        (lambda: CocycleTable(2, [[True]]), "cocycle entry True is not an integer"),
     ],
 )
 def test_validation_messages(build, message):
