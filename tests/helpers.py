@@ -401,6 +401,20 @@ def labelled_products(table, inverse=False):
     return out
 
 
+def transposition_table(m):
+    """T_m: the transpositions of S_m, the pairs (i, j) with i < j in
+    lexicographic order, under conjugation: table[x][y] is x y x^-1, the
+    transposition y with both of its points moved by x.  C(m, 2) points;
+    neither flat nor medial for m >= 4."""
+    pairs = list(itertools.combinations(range(m), 2))
+    index = {p: k for k, p in enumerate(pairs)}
+
+    def swap(t, v):
+        return t[1] if v == t[0] else t[0] if v == t[1] else v
+
+    return [[index[tuple(sorted((swap(t, a), swap(t, b))))] for a, b in pairs] for t in pairs]
+
+
 def first_noncommuting_products(table, inverse=False):
     """The flat (medial if inverse) rule by brute force: None when all the
     products of labelled_products commute pairwise, else the labels

@@ -58,6 +58,7 @@ from helpers import (
     quandle_automorphisms,
     random_edge_set,
     relabeled_table,
+    transposition_table,
     sympy_order,
 )
 
@@ -828,6 +829,17 @@ def test_flat_and_medial_match_the_pairwise_product_oracle():
             assert report.witnesses.get(name) == witness, (name, q.table)
         flags.add((report.flat, report.medial))
     assert flags == {(True, True), (False, True), (False, False)}
+
+
+def test_flat_and_medial_witnesses_of_transposition_quandles():
+    # T_m is conjugation on the transpositions of S_m: Inn = Aut = S_m and
+    # Dis = Inn+ = A_m, so neither flat nor medial from m = 4 on.
+    for m in range(4, 9):
+        table = transposition_table(m)
+        report = property_report(FiniteQuandle(table))
+        assert not report.flat and not report.medial
+        for name, inverse in (("flat", False), ("medial", True)):
+            assert report.witnesses[name] == first_noncommuting_products(table, inverse), (name, m)
 
 
 def test_nonmedial_cocycle_extension_of_a_medial_base():

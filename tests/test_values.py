@@ -25,11 +25,20 @@ from quandles import (
     PermGroup,
     PropertyReport,
     SimpleGraph,
+    aknn,
+    axis_quandle,
     canonical_table,
+    cocycle_from_dict,
     dihedral,
+    discrete_torus,
+    enumerate_quandles,
+    flat_connected_census,
     from_graph,
+    graph_from_dict,
+    graphs,
     group_chain,
     is_homomorphism,
+    quandle_from_dict,
     to_graph,
     trivial,
 )
@@ -266,6 +275,64 @@ def test_sequences_are_stored_as_tuples():
         (lambda: CocycleTable(2, [[0, 1], [0]]), "cocycle table is not square: row 1 has length 1"),
         (lambda: CocycleTable(2, [[0, 1.5], [0, 0]]), "cocycle entry 1.5 is not an integer"),
         (lambda: CocycleTable(2, [[True]]), "cocycle entry True is not an integer"),
+        (lambda: CocycleTable(2, [[0, [1]], [0, 0]]), "cocycle entry [1] is not an integer"),
+        (lambda: CocycleTable(True, [[0]]), "modulus must be an integer >= 2, got True"),
+        # Quandle tables: the rows check, and unhashable entries.
+        (lambda: FiniteQuandle(5), "table must be a sequence of rows"),
+        (lambda: FiniteQuandle([]), "table must have at least one row"),
+        (lambda: FiniteQuandle([[0, 1], [0]]), "table is not square: row 1 has length 1"),
+        (lambda: FiniteQuandle([[0, [1]], [0, 1]]), "entry table[0][1] = [1] is out of range"),
+        (lambda: FiniteQuandle([[0, 1], [0, 1.0]]), "entry table[1][1] = 1.0 is out of range"),
+        # Quandle and cocycle JSON documents.
+        (lambda: quandle_from_dict([]), "quandle JSON must be an object"),
+        (lambda: quandle_from_dict({"size": 1}), 'quandle JSON needs "size" and "table"'),
+        (lambda: quandle_from_dict({"size": 0, "table": []}), '"size" must be a positive integer'),
+        (lambda: quandle_from_dict({"size": 2, "table": [[0, 1]]}), '"table" must be a list of 2 rows'),
+        (lambda: quandle_from_dict({"size": 1, "table": [[0]], "labels": [1]}), '"labels" must be a list of 1 strings'),
+        (lambda: cocycle_from_dict({"size": 1, "values": [[0]]}), 'cocycle JSON needs "size", "modulus" and "values"'),
+        (lambda: cocycle_from_dict({"size": True, "modulus": 2, "values": [[0]]}), '"size" must be a positive integer'),
+        (lambda: cocycle_from_dict({"size": 2, "modulus": 2, "values": [[0, 0]]}), '"values" must be a list of 2 rows'),
+        (lambda: cocycle_from_dict({"size": 1, "modulus": 1.0, "values": [[0]]}), "modulus must be an integer >= 2, got 1.0"),
+        # Graphs.
+        (lambda: SimpleGraph(-1), "vertex count must be a nonnegative integer, got -1"),
+        (lambda: SimpleGraph(2.0), "vertex count must be a nonnegative integer, got 2.0"),
+        (lambda: SimpleGraph(3, [5]), "edge 5 is not a pair"),
+        (lambda: SimpleGraph(3, [(0, 1, 2)]), "edge (0, 1, 2) is not a pair"),
+        (lambda: SimpleGraph(3, [(0, 3)]), "edge endpoint 3 is out of range"),
+        (lambda: SimpleGraph(3, [(0, True)]), "edge endpoint True is out of range"),
+        (lambda: SimpleGraph(3, [(0, 1), (1.0, 2)]), "edge endpoint 1.0 is out of range"),
+        (lambda: SimpleGraph(3, [(1, 1)]), "loop at vertex 1 is not allowed"),
+        (lambda: SimpleGraph(3, [(0, 1), (1, 0)]), "duplicate edge (0, 1)"),
+        (lambda: SimpleGraph(3, labels="ab"), "2 labels for 3 vertices"),
+        (lambda: graph_from_dict([]), 'graph JSON needs "vertices" and "edges"'),
+        (lambda: graph_from_dict({"vertices": -1, "edges": []}), '"vertices" must be a nonnegative integer'),
+        (lambda: graph_from_dict({"vertices": 3, "edges": 5}), '"edges" must be a list of pairs'),
+        (lambda: graph_from_dict({"vertices": 3, "edges": [[0]]}), "edge [0] is not a pair [u, v]"),
+        (lambda: graph_from_dict({"vertices": 3, "edges": [[0, 1.5]]}), "edge [0, 1.5] has non-integer endpoints"),
+        (lambda: graph_from_dict({"vertices": 3, "edges": [[1, 0]]}), "edge [1, 0] must be written with u < v"),
+        (lambda: graph_from_dict({"vertices": 3, "edges": [[0, 9]]}), "edge endpoint 9 is out of range"),
+        (lambda: graph_from_dict({"vertices": 3, "edges": [[0, 1], [0, 1]]}), "duplicate edge (0, 1)"),
+        # Each builder's integer check.
+        (lambda: trivial(0), "size must be a positive integer, got 0"),
+        (lambda: dihedral(1.5), "order must be a positive integer, got 1.5"),
+        (lambda: axis_quandle(True), "dimension must be a positive integer, got True"),
+        (lambda: aknn(2, 1), "need 1 <= k <= n, got k=2, n=1"),
+        (lambda: aknn(True, 2), "need 1 <= k <= n, got k=True, n=2"),
+        (lambda: discrete_torus([]), "a discrete torus needs at least one factor"),
+        (lambda: discrete_torus([3, -3]), "order must be a positive integer, got -3"),
+        (lambda: graphs.empty(0), "vertex count must be a positive integer, got 0"),
+        (lambda: graphs.complete(-1), "vertex count must be a positive integer, got -1"),
+        (lambda: graphs.cycle(2), "a cycle needs at least 3 vertices, got 2"),
+        (lambda: graphs.path(1.0), "vertex count must be a positive integer, got 1.0"),
+        (lambda: graphs.star(None), "vertex count must be a positive integer, got None"),
+        (lambda: graphs.johnson(3, 4), "need 1 <= k <= n, got k=4, n=3"),
+        (lambda: graphs.parity_difference(False, 1), "vertex count must be a positive integer, got False"),
+        # Group degree and the census order.
+        (lambda: PermGroup(-1), "group degree must be a nonnegative integer"),
+        (lambda: PermGroup(True), "group degree must be a nonnegative integer"),
+        (lambda: flat_connected_census(8), "census order must be between 1 and 7, got 8"),
+        (lambda: flat_connected_census(True), "census order must be between 1 and 7, got True"),
+        (lambda: enumerate_quandles(0), "enumeration is capped at order 7, got 0"),
     ],
 )
 def test_validation_messages(build, message):
