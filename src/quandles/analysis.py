@@ -17,6 +17,7 @@ from .errors import (
     NotCrossedError,
     ResourceLimitError,
     VerificationError,
+    _is_int,
 )
 from .graphs import SimpleGraph, is_vertex_transitive
 from .permgroup import PermGroup, _Kernel, _noncommuting_pair
@@ -90,28 +91,36 @@ def _involutive_witness(q: FiniteQuandle):
     return None
 
 
-def _noncommuting_composites(q: FiniteQuandle, *, inverse: bool):
+def _noncommuting_composites(q: FiniteQuandle, generators, *, inverse: bool):
     """First pair of products s_x o s_y (s_x o s_y^{-1} if inverse) that
     fail to commute, each labelled by the first (x, y) producing it, as a
-    flat 4-tuple of points.
-
-    The flags are decided on generators; this brute-force scan only finds
-    the witness once a group is known to be non-abelian, so a pair exists.
-    """
+    flat 4-tuple of points; generators generate the products' group, Inn+
+    (Dis if inverse), known not to be abelian.  The distinct products are
+    walked in order of (x, y).  One that commutes with every generator is
+    central and has no partner; the first that does not is the first
+    element, and the first later product it fails to commute with is the
+    second.  Memory holds the products up to that one."""
     t = q.table
     n = q.size
     kernel = _Kernel(n)
+    gather = kernel.gather
     left = list(map(kernel.embed, t))
     right = [kernel.after(kernel.scatter(r, kernel.ident) if inverse else r) for r in left]
-    labelled = {}
+    gens = list(map(kernel.embed, generators))
+    seen = set()
+    first = None
     for x in range(n):
         for y in range(n):
-            labelled.setdefault(right[y](left[x]), (x, y))
-    pair = _noncommuting_pair(list(labelled))
-    if pair is None:
-        raise VerificationError("generators fail to commute but no two products do")
-    labels = list(labelled.values())
-    return labels[pair[0]] + labels[pair[1]]
+            p = right[y](left[x])
+            if p in seen:
+                continue
+            seen.add(p)
+            if first is None:
+                if any(gather(g, p) != gather(p, g) for g in gens):
+                    first, label = p, (x, y)
+            elif gather(first, p) != gather(p, first):
+                return label + (x, y)
+    raise VerificationError("generators fail to commute but no two products do")
 
 
 # The property flags of a PropertyReport, in report order.
@@ -143,17 +152,8 @@ class PropertyReport(Record):
         components: tuple[tuple[int, ...], ...],
         witnesses: dict | None = None,
     ):
-        self._set(
-            connected,
-            homogeneous,
-            flat,
-            medial,
-            crossed,
-            involutive,
-            abelian_inn,
-            components,
-            {} if witnesses is None else witnesses,
-        )
+        witnesses = {} if witnesses is None else witnesses
+        self._set(connected, homogeneous, flat, medial, crossed, involutive, abelian_inn, components, witnesses)
 
     def to_dict(self) -> dict:
         out = {name: getattr(self, name) for name in PROPERTY_NAMES}
@@ -182,13 +182,15 @@ def property_report(q: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET)
     if abelian_w:
         witnesses["abelian_inn"] = abelian_w
 
-    flat = even_inner_group(q).is_abelian()
+    even = even_inner_group(q)
+    flat = even.is_abelian()
     if not flat:
-        witnesses["flat"] = _noncommuting_composites(q, inverse=False)
+        witnesses["flat"] = _noncommuting_composites(q, even.generators, inverse=False)
     # Dis is a subgroup of Inn+, so a flat quandle is medial.
-    medial = flat or displacement_group(q).is_abelian()
+    dis = None if flat else displacement_group(q)
+    medial = flat or dis.is_abelian()
     if not medial:
-        witnesses["medial"] = _noncommuting_composites(q, inverse=True)
+        witnesses["medial"] = _noncommuting_composites(q, dis.generators, inverse=True)
 
     homogeneous: bool | None
     try:
@@ -201,15 +203,8 @@ def property_report(q: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET)
         homogeneous = None
 
     return PropertyReport(
-        connected=connected,
-        homogeneous=homogeneous,
-        flat=flat,
-        medial=medial,
-        crossed=crossed_w is None,
-        involutive=involutive_w is None,
-        abelian_inn=abelian_w is None,
-        components=components,
-        witnesses=witnesses,
+        connected, homogeneous, flat, medial, crossed_w is None, involutive_w is None, abelian_w is None,
+        components, witnesses,
     )
 
 
@@ -242,15 +237,16 @@ def to_graph(q: FiniteQuandle) -> GraphReconstruction:
     for comp in components:
         if len(comp) != 2:
             raise BadComponentSizeError(comp)
-    t = q.table
-    m = len(components)
-    edges = []
-    for i in range(m):
-        pi = components[i][0]
-        for j in range(i + 1, m):
-            qj0, qj1 = components[j]
-            if t[pi][qj0] == qj1:
-                edges.append((i, j))
+    return _reconstruction(q, components)
+
+
+def _reconstruction(q: FiniteQuandle, components) -> GraphReconstruction:
+    """to_graph once its checks have passed: q is crossed, and components,
+    its Inn-orbits, are all pairs."""
+    t, m = q.table, len(components)
+    edges = [
+        (i, j) for i in range(m) for j in range(i + 1, m) if t[components[i][0]][components[j][0]] == components[j][1]
+    ]
     labels = ["{" + f"{a},{b}" + "}" for a, b in components]
     graph = SimpleGraph(m, edges, labels=labels)
     images = [0] * q.size
@@ -287,14 +283,7 @@ class Characterization(Record):
         relabeling: tuple[int, ...] | None = None,
         graph_vertex_transitive: bool | None = None,
     ):
-        self._set(
-            components_size_two,
-            crossed,
-            homogeneous,
-            graph,
-            relabeling,
-            graph_vertex_transitive,
-        )
+        self._set(components_size_two, crossed, homogeneous, graph, relabeling, graph_vertex_transitive)
 
     @property
     def matches(self) -> bool:
@@ -312,20 +301,13 @@ def characterize(q: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET) ->
     homogeneous = is_transitive(quandle_structure(q.table), node_budget)
     graph = relabeling = vertex_transitive = None
     if size_two and crossed:
-        graph, relabeling = to_graph(q)
+        graph, relabeling = _reconstruction(q, components)
         vertex_transitive = is_vertex_transitive(graph)
         if vertex_transitive != homogeneous:
             raise VerificationError(
                 "graph vertex-transitivity disagrees with quandle homogeneity"
             )
-    return Characterization(
-        components_size_two=size_two,
-        crossed=crossed,
-        homogeneous=homogeneous,
-        graph=graph,
-        relabeling=relabeling,
-        graph_vertex_transitive=vertex_transitive,
-    )
+    return Characterization(size_two, crossed, homogeneous, graph, relabeling, vertex_transitive)
 
 
 class GroupChain(Record):
@@ -429,11 +411,7 @@ def flat_connected_census(max_order: int = 6) -> list[OrderCensus]:
     and they are listed in the order of those tables, as
     enumerate_quandles would list them.
     """
-    if (
-        not isinstance(max_order, int)
-        or isinstance(max_order, bool)
-        or not 1 <= max_order <= ENUMERATION_CAP
-    ):
+    if not _is_int(max_order, 1, ENUMERATION_CAP):
         raise InputError(
             f"census order must be between 1 and {ENUMERATION_CAP}, got {max_order!r}"
         )

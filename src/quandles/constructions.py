@@ -11,14 +11,14 @@ import itertools
 import math
 
 from ._record import Record
-from .core import FiniteQuandle, _admit, _check_axioms, direct_product
-from .errors import AxiomError, InputError, VerificationError
-from .graphs import SimpleGraph, _adjacency_masks, _require_positive, parity_difference
+from .core import FiniteQuandle, _admit, _check_axioms, _sized_rows, _square_rows, direct_product
+from .errors import AxiomError, InputError, VerificationError, _is_int, _require_int
+from .graphs import SimpleGraph, _adjacency_masks, parity_difference
 
 
 def trivial(n: int) -> FiniteQuandle:
     """Every symmetry is the identity."""
-    _require_positive(n, "size")
+    _require_int(n, "size must be a positive integer, got {!r}", 1)
     _admit(n)
     row = tuple(range(n))
     return FiniteQuandle([row] * n)
@@ -30,7 +30,7 @@ def dihedral(r: int) -> FiniteQuandle:
     The row at x is the reflection of the circle across the axis through
     vertex x, written additively on vertex indices.
     """
-    _require_positive(r, "order")
+    _require_int(r, "order must be a positive integer, got {!r}", 1)
     _admit(r)
     return FiniteQuandle([[(2 * x - y) % r for y in range(r)] for x in range(r)])
 
@@ -42,7 +42,7 @@ def axis_quandle(n: int) -> FiniteQuandle:
     sign of e_i fixes the i-th pair and swaps the signs of every other pair,
     so this is the graph quandle of the complete graph K_n.
     """
-    _require_positive(n, "dimension")
+    _require_int(n, "dimension must be a positive integer, got {!r}", 1)
     _admit(2 * n)
     everyone = (1 << n) - 1
     labels = []
@@ -60,7 +60,7 @@ def aknn(k: int, n: int) -> FiniteQuandle:
     its own labels.  Element order (k-subsets lexicographic, + before -)
     is part of the public contract.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or not isinstance(n, int) or isinstance(n, bool) or not 1 <= k <= n:
+    if not (_is_int(k, 1) and _is_int(n, k)):
         raise InputError(f"need 1 <= k <= n, got k={k!r}, n={n!r}")
     _admit(2 * math.comb(n, k))
     labels = [
@@ -84,7 +84,7 @@ def from_graph(g: SimpleGraph) -> FiniteQuandle:
     return FiniteQuandle(_graph_quandle_rows(_adjacency_masks(g)), labels)
 
 
-def _graph_quandle_rows(masks) -> list[list[int]]:
+def _graph_quandle_rows(masks) -> list[tuple[int, ...]]:
     """The table of the graph quandle with these adjacency bitmasks: the
     row at (v, 0) and at (v, 1) swaps (w, 0) and (w, 1) exactly when bit
     w of masks[v] is set."""
@@ -93,7 +93,7 @@ def _graph_quandle_rows(masks) -> list[list[int]]:
         row = []
         for w in range(len(masks)):
             row += [2 * w + 1, 2 * w] if m >> w & 1 else [2 * w, 2 * w + 1]
-        table += (row, row)
+        table += [tuple(row)] * 2
     return table
 
 
@@ -107,21 +107,10 @@ class CocycleTable(Record):
     __slots__ = ("modulus", "values")
 
     def __init__(self, modulus, values):
-        if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
-            raise InputError(f"modulus must be an integer >= 2, got {modulus!r}")
-        try:
-            rows = tuple(tuple(row) for row in values)
-        except TypeError:
-            raise InputError("cocycle values must be a sequence of rows") from None
-        n = len(rows)
-        if n == 0:
-            raise InputError("cocycle table must have at least one row")
-        for x, row in enumerate(rows):
-            if len(row) != n:
-                raise InputError(f"cocycle table is not square: row {x} has length {len(row)}")
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise InputError(f"cocycle entry {v!r} is not an integer")
+        _require_int(modulus, "modulus must be an integer >= 2, got {!r}", 2)
+        rows = _square_rows(
+            values, "cocycle values", "cocycle table", "cocycle entry {v!r} is not an integer", bounded=False
+        )
         self._set(modulus, tuple(tuple(v % modulus for v in row) for row in rows))
 
     @property
@@ -213,7 +202,7 @@ def discrete_torus(orders) -> FiniteQuandle:
     if not orders:
         raise InputError("a discrete torus needs at least one factor")
     for r in orders:
-        _require_positive(r, "order")
+        _require_int(r, "order must be a positive integer, got {!r}", 1)
     _admit(math.prod(orders))
     q = dihedral(orders[0])
     for r in orders[1:]:
@@ -227,11 +216,7 @@ def cocycle_from_dict(d) -> CocycleTable:
     ResourceLimitError before the values are read."""
     if not isinstance(d, dict) or not {"size", "modulus", "values"} <= set(d):
         raise InputError('cocycle JSON needs "size", "modulus" and "values"')
-    size, modulus, values = d["size"], d["modulus"], d["values"]
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise InputError('"size" must be a positive integer')
-    if isinstance(modulus, int) and not isinstance(modulus, bool) and modulus >= 2:
-        _admit(size * modulus)
-    if not isinstance(values, list) or len(values) != size:
-        raise InputError(f'"values" must be a list of {size} rows')
+    modulus = d["modulus"]
+    # A bad modulus is CocycleTable's to refuse, once the rows are found.
+    _, values = _sized_rows(d, "values", modulus if _is_int(modulus, 2) else 0)
     return CocycleTable(modulus, values)

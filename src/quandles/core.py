@@ -20,7 +20,7 @@ import math
 from collections.abc import Iterator
 
 from ._record import Record
-from .errors import AxiomError, InputError, ResourceLimitError
+from .errors import AxiomError, InputError, ResourceLimitError, _is_int, _require_int
 from .permgroup import _Kernel, _cycle_type, _cycles
 from .search import DEFAULT_NODE_BUDGET, isomorphisms, quandle_structure
 
@@ -66,26 +66,46 @@ class AxiomReport(Record):
         return self.q1_ok and self.q2_ok and self.q3_ok
 
 
-def _as_rows(table) -> tuple[tuple[int, ...], ...]:
-    """Normalize and structurally validate a candidate table."""
-    if isinstance(table, FiniteQuandle):
-        return table.table
+def _square_rows(values, rows_of="table", noun="table", entry="entry table[{x}][{y}] = {v!r} is out of range", bounded=True):
+    """The one check of a square table, quandle or cocycle: values as row
+    tuples, at least one row, each as long as there are rows, each entry
+    an int (not a bool), in range(n) if bounded.  rows_of, noun and entry
+    (formatted with x, y, v) word the messages.  The lengths and entry
+    types of each distinct row object, then the min and max of each
+    distinct row value, are tested at C level; only a table that fails
+    is walked to name its first fault."""
     try:
-        rows = tuple(tuple(row) for row in table)
+        rows = tuple(map(tuple, values))
     except TypeError:
-        raise InputError("table must be a sequence of rows") from None
+        raise InputError(f"{rows_of} must be a sequence of rows") from None
     n = len(rows)
     if n == 0:
-        raise InputError("table must have at least one row")
+        raise InputError(f"{noun} must have at least one row")
+    given = {id(r): r for r in rows}.values()  # a row object given twice is tested once
+    if set(map(len, given)) == {n} and set(map(type, itertools.chain.from_iterable(given))) == {int}:
+        distinct = set(given)  # all plain ints, so rows of equal value are alike
+        if not bounded or (min(map(min, distinct)) >= 0 and max(map(max, distinct)) < n):
+            return rows
+    low, high = (0, n - 1) if bounded else (None, None)
     for x, row in enumerate(rows):
         if len(row) != n:
-            raise InputError(f"table is not square: row {x} has length {len(row)}")
-        if set(map(type, row)) == {int} and min(row) >= 0 and max(row) < n:
-            continue
+            raise InputError(f"{noun} is not square: row {x} has length {len(row)}")
         for y, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise InputError(f"entry table[{x}][{y}] = {v!r} is out of range")
+            if not _is_int(v, low, high):
+                raise InputError(entry.format(x=x, y=y, v=v))
     return rows
+
+
+def _as_rows(table) -> tuple[tuple[int, ...], ...]:
+    return table.table if isinstance(table, FiniteQuandle) else _square_rows(table)
+
+
+def _labels(labels, count: int, unit: str) -> tuple[str, ...] | None:
+    """Display labels as strings, one per point or vertex, or None."""
+    labels = None if labels is None else tuple(map(str, labels))
+    if labels is not None and len(labels) != count:
+        raise InputError(f"{len(labels)} labels for {count} {unit}")
+    return labels
 
 
 def verify_axioms(table) -> AxiomReport:
@@ -180,12 +200,7 @@ class FiniteQuandle(Record):
 
     def __init__(self, table, labels=None):
         rows = _as_rows(table)
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != len(rows):
-                raise InputError(
-                    f"{len(labels)} labels for {len(rows)} points"
-                )
+        labels = _labels(labels, len(rows), "points")
         report = _check_axioms(rows)
         if not report.ok:
             raise AxiomError(
@@ -212,7 +227,7 @@ def is_homomorphism(images, q1: FiniteQuandle, q2: FiniteQuandle) -> bool:
     if len(im) != q1.size:
         raise InputError(f"{len(im)} images for domain of size {q1.size}")
     for x, y in enumerate(im):
-        if not isinstance(y, int) or isinstance(y, bool) or not 0 <= y < q2.size:
+        if not _is_int(y, 0, q2.size - 1):
             raise InputError(f"image of {x} is {y!r}, out of range")
     t1, t2 = q1.table, q2.table
     for x in range(q1.size):
@@ -390,7 +405,7 @@ def canonical_table(q) -> tuple[tuple[int, ...], ...]:
 def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """One table per isomorphism class of quandles on n points: the first
     one the search of enumerate_quandles visits."""
-    if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= ENUMERATION_CAP:
+    if not _is_int(n, 1, ENUMERATION_CAP):
         raise InputError(f"enumeration is capped at order {ENUMERATION_CAP}, got {n!r}")
 
     points = range(n)
@@ -514,13 +529,7 @@ def quandle_from_dict(d) -> FiniteQuandle:
         raise InputError("quandle JSON must be an object")
     if "size" not in d or "table" not in d:
         raise InputError('quandle JSON needs "size" and "table"')
-    size = d["size"]
-    table = d["table"]
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise InputError('"size" must be a positive integer')
-    _admit(size)
-    if not isinstance(table, list) or len(table) != size:
-        raise InputError(f'"table" must be a list of {size} rows')
+    size, table = _sized_rows(d, "table")
     labels = d.get("labels")
     if labels is not None and (
         not isinstance(labels, list)
@@ -529,3 +538,15 @@ def quandle_from_dict(d) -> FiniteQuandle:
     ):
         raise InputError(f'"labels" must be a list of {size} strings')
     return FiniteQuandle(table, labels)
+
+
+def _sized_rows(d: dict, key: str, per_point: int = 1) -> tuple[int, list]:
+    """A document's positive "size" and its list of that many rows under
+    key; size * per_point points over POINT_CAP are refused first."""
+    size = d["size"]
+    _require_int(size, '"size" must be a positive integer', 1)
+    _admit(size * per_point)
+    rows = d[key]
+    if not isinstance(rows, list) or len(rows) != size:
+        raise InputError(f'"{key}" must be a list of {size} rows')
+    return size, rows

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule."""
 
 
 class QuandleError(Exception):
@@ -48,3 +48,17 @@ class BadComponentSizeError(QuandleError):
 
 class VerificationError(QuandleError):
     """A mechanically checked identity failed; indicates a bug somewhere."""
+
+
+def _is_int(value, low=None, high=None) -> bool:
+    """Whether value is an int and not a bool, with low <= value <= high
+    for each bound that is given.  Int subclasses other than bool, such
+    as IntEnum members, pass."""
+    ok = isinstance(value, int) and not isinstance(value, bool)
+    return ok and (low is None or low <= value) and (high is None or value <= high)
+
+
+def _require_int(value, message: str, low=None, high=None) -> None:
+    """Raise InputError(message.format(value)) unless _is_int(value, low, high)."""
+    if not _is_int(value, low, high):
+        raise InputError(message.format(value))

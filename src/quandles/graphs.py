@@ -12,7 +12,7 @@ import math
 
 from . import core
 from ._record import Record
-from .errors import InputError
+from .errors import InputError, _is_int, _require_int
 from .permgroup import PermGroup
 from .search import automorphism_generators, graph_structure, is_transitive
 
@@ -24,28 +24,8 @@ class SimpleGraph(Record):
     _compared = ("vertex_count", "edges")
 
     def __init__(self, vertex_count, edges=(), labels=None):
-        if not isinstance(vertex_count, int) or isinstance(vertex_count, bool) or vertex_count < 0:
-            raise InputError(f"vertex count must be a nonnegative integer, got {vertex_count!r}")
-        normalized = set()
-        for e in edges:
-            try:
-                u, v = e
-            except (TypeError, ValueError):
-                raise InputError(f"edge {e!r} is not a pair") from None
-            for w in (u, v):
-                if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < vertex_count:
-                    raise InputError(f"edge endpoint {w!r} is out of range")
-            if u == v:
-                raise InputError(f"loop at vertex {u} is not allowed")
-            pair = (u, v) if u < v else (v, u)
-            if pair in normalized:
-                raise InputError(f"duplicate edge {pair}")
-            normalized.add(pair)
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != vertex_count:
-                raise InputError(f"{len(labels)} labels for {vertex_count} vertices")
-        self._set(vertex_count, frozenset(normalized), labels)
+        _require_int(vertex_count, "vertex count must be a nonnegative integer, got {!r}", 0)
+        self._set(vertex_count, _edge_set(edges, vertex_count), core._labels(labels, vertex_count, "vertices"))
 
     def __repr__(self):
         return f"SimpleGraph(vertices={self.vertex_count}, edges={len(self.edges)})"
@@ -55,6 +35,29 @@ class SimpleGraph(Record):
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels else str(v)
+
+
+def _edge_set(edges, n: int) -> frozenset:
+    """The edges as pairs (u, v), u < v, of ints in range(n), with no loop
+    or repeat; the first fault in edge order is named."""
+    normalized = set()
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise InputError(f"edge {e!r} is not a pair") from None
+        # Plain ints in range pass at once; anything else meets the integer rule.
+        if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
+            for w in (u, v):
+                if not _is_int(w, 0, n - 1):
+                    raise InputError(f"edge endpoint {w!r} is out of range")
+        if u == v:
+            raise InputError(f"loop at vertex {u} is not allowed")
+        pair = (u, v) if u < v else (v, u)
+        if pair in normalized:
+            raise InputError(f"duplicate edge {pair}")
+        normalized.add(pair)
+    return frozenset(normalized)
 
 
 def _admit_vertices(vertices: int) -> None:
@@ -95,32 +98,31 @@ def is_vertex_transitive(g: SimpleGraph) -> bool:
 
 def empty(n: int) -> SimpleGraph:
     """n vertices, no edges."""
-    _require_positive(n)
+    _require_int(n, "vertex count must be a positive integer, got {!r}", 1)
     return SimpleGraph(n)
 
 
 def complete(n: int) -> SimpleGraph:
-    _require_positive(n)
+    _require_int(n, "vertex count must be a positive integer, got {!r}", 1)
     _admit_vertices(n)
     return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def cycle(n: int) -> SimpleGraph:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 3:
-        raise InputError(f"a cycle needs at least 3 vertices, got {n!r}")
+    _require_int(n, "a cycle needs at least 3 vertices, got {!r}", 3)
     _admit_vertices(n)
     return SimpleGraph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def path(n: int) -> SimpleGraph:
-    _require_positive(n)
+    _require_int(n, "vertex count must be a positive integer, got {!r}", 1)
     _admit_vertices(n)
     return SimpleGraph(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def star(n: int) -> SimpleGraph:
     """n vertices total: hub 0 joined to every other vertex."""
-    _require_positive(n)
+    _require_int(n, "vertex count must be a positive integer, got {!r}", 1)
     _admit_vertices(n)
     return SimpleGraph(n, [(0, v) for v in range(1, n)])
 
@@ -137,16 +139,11 @@ def parity_difference(n: int, k: int) -> SimpleGraph:
     return _subset_graph(n, k, lambda v, w: len(v - w) % 2 == 1)
 
 
-def _require_positive(n, what="vertex count"):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise InputError(f"{what} must be a positive integer, got {n!r}")
-
-
 def _subset_graph(n, k, joined):
     """The k-subsets of {1..n} in lexicographic order, labelled by their
     elements, with an edge where joined(v, w) holds for v before w."""
-    _require_positive(n)
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= n:
+    _require_int(n, "vertex count must be a positive integer, got {!r}", 1)
+    if not _is_int(k, 1, n):
         raise InputError(f"need 1 <= k <= n, got k={k!r}, n={n!r}")
     _admit_vertices(math.comb(n, k))
     subsets = list(itertools.combinations(range(1, n + 1), k))
@@ -161,24 +158,29 @@ def graph_to_dict(g: SimpleGraph) -> dict:
 
 
 def graph_from_dict(d) -> SimpleGraph:
-    """Parse graph JSON: 0-based edges [u, v] with u < v, no loops, no duplicates."""
+    """Parse graph JSON: 0-based edges [u, v] with u < v, no loops, no duplicates.
+    Only the shape is checked here; SimpleGraph checks the vertex count,
+    then reads the edges (so a bad "vertices" is reported first), their
+    endpoints, loops and repeats."""
     if not isinstance(d, dict) or "vertices" not in d or "edges" not in d:
         raise InputError('graph JSON needs "vertices" and "edges"')
-    n = d["vertices"]
-    edges = d["edges"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise InputError('"vertices" must be a nonnegative integer')
+    return SimpleGraph(d["vertices"], _json_edges(d["edges"]))
+
+
+def _json_edges(edges):
+    """Yield a graph document's "edges", all checked when SimpleGraph reads the first."""
     if not isinstance(edges, list):
         raise InputError('"edges" must be a list of pairs')
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise InputError(f"edge {e!r} is not a pair [u, v]")
-        u, v = e
-        if not all(isinstance(x, int) and not isinstance(x, bool) for x in (u, v)):
-            raise InputError(f"edge {e!r} has non-integer endpoints")
-        if not u < v:
+        try:
+            backwards = not e[0] < e[1]
+        except TypeError:  # endpoints that do not compare are SimpleGraph's to refuse
+            backwards = False
+        if backwards:
             raise InputError(f"edge {e!r} must be written with u < v")
-    return SimpleGraph(n, edges)
+    yield from edges
 
 
 def to_dot(g: SimpleGraph) -> str:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import operator
 
 from ._record import Record
-from .errors import InputError
+from .errors import InputError, _is_int, _require_int
 
 
 def _gather(b, a):
@@ -45,9 +45,7 @@ def _scatter(b, a):
 def _is_permutation(images: tuple) -> bool:
     """Whether the tuple holds each of 0..len-1 once, as ints (bools are
     refused, int subclasses such as IntEnum accepted)."""
-    ints = set(map(type, images)) <= {int} or all(
-        isinstance(v, int) and not isinstance(v, bool) for v in images
-    )
+    ints = set(map(type, images)) <= {int} or all(map(_is_int, images))
     return ints and sorted(images) == list(range(len(images)))
 
 
@@ -279,8 +277,7 @@ class PermGroup:
     """
 
     def __init__(self, degree, generators=()):
-        if not isinstance(degree, int) or isinstance(degree, bool) or degree < 0:
-            raise InputError("group degree must be a nonnegative integer")
+        _require_int(degree, "group degree must be a nonnegative integer", 0)
         gens = [tuple(g) for g in generators]
         for g in gens:
             if not _is_permutation(g):

@@ -842,6 +842,25 @@ def test_flat_and_medial_witnesses_of_transposition_quandles():
             assert report.witnesses[name] == first_noncommuting_products(table, inverse), (name, m)
 
 
+def test_the_witness_scan_stops_at_its_pair():
+    # T_24 has 276 points and 35,927 distinct products s_x o s_y; the scan
+    # keeps the products up to the witness's second element only.
+    import tracemalloc
+
+    from quandles.analysis import _noncommuting_composites
+
+    q = FiniteQuandle(transposition_table(24))
+    groups = ((even_inner_group(q), False), (displacement_group(q), True))
+    tracemalloc.start()
+    try:
+        witnesses = [_noncommuting_composites(q, g.generators, inverse=inverse) for g, inverse in groups]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witnesses == [(0, 1, 0, 2), (0, 1, 0, 2)]
+    assert peak < 5 * 2**20
+
+
 def test_nonmedial_cocycle_extension_of_a_medial_base():
     from quandles import CocycleTable, cocycle_extension
 

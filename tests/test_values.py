@@ -277,6 +277,11 @@ def test_sequences_are_stored_as_tuples():
         (lambda: CocycleTable(2, [[True]]), "cocycle entry True is not an integer"),
         (lambda: CocycleTable(2, [[0, [1]], [0, 0]]), "cocycle entry [1] is not an integer"),
         (lambda: CocycleTable(True, [[0]]), "modulus must be an integer >= 2, got True"),
+        # Rows equal in value can differ in entry types: each entry is checked.
+        (lambda: CocycleTable(2, [[0, 1], [0, 1.0]]), "cocycle entry 1.0 is not an integer"),
+        (lambda: FiniteQuandle([[0, 1], [0, True]]), "entry table[1][1] = True is out of range"),
+        # A row object shared by several points is tested once and named at its first.
+        (lambda: FiniteQuandle([(0, 1.5)] * 2), "entry table[0][1] = 1.5 is out of range"),
         # Quandle tables: the rows check, and unhashable entries.
         (lambda: FiniteQuandle(5), "table must be a sequence of rows"),
         (lambda: FiniteQuandle([]), "table must have at least one row"),
@@ -305,10 +310,12 @@ def test_sequences_are_stored_as_tuples():
         (lambda: SimpleGraph(3, [(0, 1), (1, 0)]), "duplicate edge (0, 1)"),
         (lambda: SimpleGraph(3, labels="ab"), "2 labels for 3 vertices"),
         (lambda: graph_from_dict([]), 'graph JSON needs "vertices" and "edges"'),
-        (lambda: graph_from_dict({"vertices": -1, "edges": []}), '"vertices" must be a nonnegative integer'),
+        # A graph file's vertex count and endpoints are checked by SimpleGraph.
+        (lambda: graph_from_dict({"vertices": 2.5, "edges": []}), "vertex count must be a nonnegative integer, got 2.5"),
         (lambda: graph_from_dict({"vertices": 3, "edges": 5}), '"edges" must be a list of pairs'),
         (lambda: graph_from_dict({"vertices": 3, "edges": [[0]]}), "edge [0] is not a pair [u, v]"),
-        (lambda: graph_from_dict({"vertices": 3, "edges": [[0, 1.5]]}), "edge [0, 1.5] has non-integer endpoints"),
+        (lambda: graph_from_dict({"vertices": 3, "edges": [[0, 1.5]]}), "edge endpoint 1.5 is out of range"),
+        (lambda: graph_from_dict({"vertices": 3, "edges": [["a", 1]]}), "edge endpoint 'a' is out of range"),
         (lambda: graph_from_dict({"vertices": 3, "edges": [[1, 0]]}), "edge [1, 0] must be written with u < v"),
         (lambda: graph_from_dict({"vertices": 3, "edges": [[0, 9]]}), "edge endpoint 9 is out of range"),
         (lambda: graph_from_dict({"vertices": 3, "edges": [[0, 1], [0, 1]]}), "duplicate edge (0, 1)"),
