@@ -203,8 +203,8 @@ def property_report(q: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET)
         homogeneous = None
 
     return PropertyReport(
-        connected, homogeneous, flat, medial, crossed_w is None, involutive_w is None, abelian_w is None,
-        components, witnesses,
+        connected=connected, homogeneous=homogeneous, flat=flat, medial=medial, crossed=crossed_w is None,
+        involutive=involutive_w is None, abelian_inn=abelian_w is None, components=components, witnesses=witnesses,
     )
 
 
@@ -307,7 +307,10 @@ def characterize(q: FiniteQuandle, *, node_budget: int = DEFAULT_NODE_BUDGET) ->
             raise VerificationError(
                 "graph vertex-transitivity disagrees with quandle homogeneity"
             )
-    return Characterization(size_two, crossed, homogeneous, graph, relabeling, vertex_transitive)
+    return Characterization(
+        components_size_two=size_two, crossed=crossed, homogeneous=homogeneous,
+        graph=graph, relabeling=relabeling, graph_vertex_transitive=vertex_transitive,
+    )
 
 
 class GroupChain(Record):

@@ -24,8 +24,26 @@ class SimpleGraph(Record):
     _compared = ("vertex_count", "edges")
 
     def __init__(self, vertex_count, edges=(), labels=None):
-        _require_int(vertex_count, "vertex count must be a nonnegative integer, got {!r}", 0)
-        self._set(vertex_count, _edge_set(edges, vertex_count), core._labels(labels, vertex_count, "vertices"))
+        n = vertex_count
+        _require_int(n, "vertex count must be a nonnegative integer, got {!r}", 0)
+        normalized = set()
+        for e in edges:
+            try:
+                u, v = e
+            except (TypeError, ValueError):
+                raise InputError(f"edge {e!r} is not a pair") from None
+            # Plain ints in range pass at once; anything else meets the integer rule.
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
+                for w in (u, v):
+                    if not _is_int(w, 0, n - 1):
+                        raise InputError(f"edge endpoint {w!r} is out of range")
+            if u == v:
+                raise InputError(f"loop at vertex {u} is not allowed")
+            pair = (u, v) if u < v else (v, u)
+            if pair in normalized:
+                raise InputError(f"duplicate edge {pair}")
+            normalized.add(pair)
+        self._set(n, frozenset(normalized), core._labels(labels, n, "vertices"))
 
     def __repr__(self):
         return f"SimpleGraph(vertices={self.vertex_count}, edges={len(self.edges)})"
@@ -37,27 +55,7 @@ class SimpleGraph(Record):
         return self.labels[v] if self.labels else str(v)
 
 
-def _edge_set(edges, n: int) -> frozenset:
-    """The edges as pairs (u, v), u < v, of ints in range(n), with no loop
-    or repeat; the first fault in edge order is named."""
-    normalized = set()
-    for e in edges:
-        try:
-            u, v = e
-        except (TypeError, ValueError):
-            raise InputError(f"edge {e!r} is not a pair") from None
-        # Plain ints in range pass at once; anything else meets the integer rule.
-        if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
-            for w in (u, v):
-                if not _is_int(w, 0, n - 1):
-                    raise InputError(f"edge endpoint {w!r} is out of range")
-        if u == v:
-            raise InputError(f"loop at vertex {u} is not allowed")
-        pair = (u, v) if u < v else (v, u)
-        if pair in normalized:
-            raise InputError(f"duplicate edge {pair}")
-        normalized.add(pair)
-    return frozenset(normalized)
+_VERTEX_COUNT = "vertex count must be a positive integer, got {!r}"
 
 
 def _admit_vertices(vertices: int) -> None:
@@ -98,12 +96,12 @@ def is_vertex_transitive(g: SimpleGraph) -> bool:
 
 def empty(n: int) -> SimpleGraph:
     """n vertices, no edges."""
-    _require_int(n, "vertex count must be a positive integer, got {!r}", 1)
+    _require_int(n, _VERTEX_COUNT, 1)
     return SimpleGraph(n)
 
 
 def complete(n: int) -> SimpleGraph:
-    _require_int(n, "vertex count must be a positive integer, got {!r}", 1)
+    _require_int(n, _VERTEX_COUNT, 1)
     _admit_vertices(n)
     return SimpleGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
@@ -115,14 +113,14 @@ def cycle(n: int) -> SimpleGraph:
 
 
 def path(n: int) -> SimpleGraph:
-    _require_int(n, "vertex count must be a positive integer, got {!r}", 1)
+    _require_int(n, _VERTEX_COUNT, 1)
     _admit_vertices(n)
     return SimpleGraph(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def star(n: int) -> SimpleGraph:
     """n vertices total: hub 0 joined to every other vertex."""
-    _require_int(n, "vertex count must be a positive integer, got {!r}", 1)
+    _require_int(n, _VERTEX_COUNT, 1)
     _admit_vertices(n)
     return SimpleGraph(n, [(0, v) for v in range(1, n)])
 
@@ -142,7 +140,7 @@ def parity_difference(n: int, k: int) -> SimpleGraph:
 def _subset_graph(n, k, joined):
     """The k-subsets of {1..n} in lexicographic order, labelled by their
     elements, with an edge where joined(v, w) holds for v before w."""
-    _require_int(n, "vertex count must be a positive integer, got {!r}", 1)
+    _require_int(n, _VERTEX_COUNT, 1)
     if not _is_int(k, 1, n):
         raise InputError(f"need 1 <= k <= n, got k={k!r}, n={n!r}")
     _admit_vertices(math.comb(n, k))

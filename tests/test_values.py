@@ -318,7 +318,12 @@ def test_sequences_are_stored_as_tuples():
         (lambda: graph_from_dict({"vertices": 3, "edges": [["a", 1]]}), "edge endpoint 'a' is out of range"),
         (lambda: graph_from_dict({"vertices": 3, "edges": [[1, 0]]}), "edge [1, 0] must be written with u < v"),
         (lambda: graph_from_dict({"vertices": 3, "edges": [[0, 9]]}), "edge endpoint 9 is out of range"),
-        (lambda: graph_from_dict({"vertices": 3, "edges": [[0, 1], [0, 1]]}), "duplicate edge (0, 1)"),
+        (lambda: graph_from_dict({"vertices": 3, "edges": [[1, 2], [1, 2]]}), "duplicate edge (1, 2)"),
+        # Where several rules fail: the vertex count, then every edge's shape, then the endpoints.
+        (lambda: graph_from_dict({"vertices": -2, "edges": 5}), "vertex count must be a nonnegative integer, got -2"),
+        (lambda: graph_from_dict({"vertices": 3, "edges": [[0, 9], [2, 1]]}), "edge [2, 1] must be written with u < v"),
+        (lambda: graph_from_dict({"vertices": 3, "edges": [[0, 7], [0, 1.5]]}), "edge endpoint 7 is out of range"),
+        (lambda: cocycle_from_dict({"size": 3000, "modulus": 1, "values": []}), '"values" must be a list of 3000 rows'),
         # Each builder's integer check.
         (lambda: trivial(0), "size must be a positive integer, got 0"),
         (lambda: dihedral(1.5), "order must be a positive integer, got 1.5"),
