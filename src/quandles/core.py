@@ -15,6 +15,7 @@ with rows and columns swapped; only this one is used here.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -287,14 +288,33 @@ def _cycles_by_length(perm, fixed) -> list[tuple[int, ...]]:
     return sorted((c for c in _cycles(perm) if c[0] != fixed), key=len)
 
 
+# The most points for which a pair of points a * n + b fits in a byte, so
+# that _orbit_slice relabels a table with two translates.
+_PAIR_INDEX_POINTS = 16
+
+@functools.cache
+def _shifts(n: int) -> tuple[bytes, ...]:
+    """For n <= 16, the translation tables sending each point v < n to
+    a * n + v, one for each a < n."""
+    return tuple(bytes(range(a * n, a * n + n)).ljust(256, b"\0") for a in range(n))
+
+
+def _pair_index(where: bytes) -> bytes:
+    """For a sequence of n <= 16 points, the n * n bytes with
+    where[a] * n + where[b] at a * n + b: block a is where shifted up by
+    where[a] * n."""
+    return b"".join(map(where.translate, map(_shifts(len(where)).__getitem__, where)))
+
+
 def _listings(p) -> list[tuple[bytes, bytes]]:
     """Every way to list the points of p, a permutation fixing 0: first 0,
     then the other cycles grouped by increasing length, each group in any
     order and each cycle in any rotation.  Each listing L, read as the
-    permutation i -> L[i], comes as the pair (position, L): L in the
-    stored form of _Kernel, and position the images of its inverse, so
-    position[v] is the index of v in L.  Not cached: a caller lists them
-    once per row 0 and drops them when it is done."""
+    permutation i -> L[i], comes as the pair (index, L), with L in the
+    stored form of _Kernel.  With position[v] the index of v in L, index
+    is _pair_index(position) up to 16 points and position itself above.
+    Not cached: a caller lists them once per row 0 and drops them when it
+    is done."""
     n = len(p)
     kernel = _Kernel(n)
     per_length = [
@@ -305,17 +325,19 @@ def _listings(p) -> list[tuple[bytes, bytes]]:
         ]
         for group in (list(g) for _, g in itertools.groupby(_cycles_by_length(p, 0), len))
     ]
-    listings = (
+    listings = [
         kernel.embed(itertools.chain((0,), *parts))
         for parts in itertools.product(*per_length)
-    )
-    return [(kernel.scatter(listing, kernel.ident)[:n], listing) for listing in listings]
+    ]
+    positions = (kernel.scatter(listing, kernel.ident)[:n] for listing in listings)
+    if n <= _PAIR_INDEX_POINTS:
+        positions = map(_pair_index, positions)
+    return list(zip(positions, listings))
 
 
 def _orbit_slice(rows, p, listings) -> Iterator[bytes]:
     """Yield every relabeling of the table whose row 0 is p, as flat
-    bytes, one listing at a time, so memory holds one table and not the
-    slice; listings are _listings(p).
+    bytes; listings are _listings(p).
 
     rows are permutations fixing their own point, at most 256 of them,
     and p fixes 0.  A relabeling sigma carries row x to sigma s_x
@@ -324,25 +346,46 @@ def _orbit_slice(rows, p, listings) -> Iterator[bytes]:
     search: for each x whose row has p's cycle type, list x and then the
     other cycles of s_x grouped by length (the source listing S); sigma
     sends S[i] to L[i] for each listing L of p (_listings).  That is
-    |X| * |C_Stab(0)(p)| relabelings (_slice_size), each one gather per
-    row and one translate.  A table repeats when sigma is an automorphism.
+    |X| * |C_Stab(0)(p)| relabelings (_slice_size).  A table repeats when
+    sigma is an automorphism.
 
     With R[i][j] the index in S of s_S[i](S[j]), the relabeled table has
-    L[R[i][j]] at (L[i], L[j]).  Row i of R (`reindexed`) is the product
-    S^-1 o s_S[i] o S in the stored form of _Kernel, built once per x;
-    each listing only gathers and translates it.
+    L[R[i][j]] at (L[i], L[j]).  Up to 16 points R is built once per x,
+    flat (R[i][j] at i * n + j) and padded to a 256-byte translation
+    table; each relabeling is then two translates, index.translate(R)
+    .translate(L), with no loop over rows.  The at most 16 tables R are
+    kept and the listings are the outer loop.  Above 16 points one x is
+    handled at a time, so memory holds its rows and one table and not
+    the slice: row i of R is S^-1 o s_S[i] o S in the stored form of
+    _Kernel, and each listing gathers the rows of R by position, then
+    translates by L.
     """
     n = len(rows)
     kernel = _Kernel(n)
     gather = kernel.gather
     shape = [len(c) for c in _cycles_by_length(p, 0)]
+
+    def sources():
+        # (S, position in S), stored, for each x whose row has p's type.
+        for x, row in enumerate(rows):
+            cycles = _cycles_by_length(row, x)
+            if [len(c) for c in cycles] == shape:
+                source = kernel.embed(itertools.chain((x,), *cycles))
+                yield source, kernel.scatter(source, kernel.ident)
+
+    if n <= _PAIR_INDEX_POINTS:
+        # R[i][j] = position[table[S[i]][S[j]]], from the flat table.
+        flat = b"".join(map(bytes, rows)).ljust(256, b"\0")
+        reindexed = [
+            _pair_index(source[:n]).translate(flat).translate(position).ljust(256, b"\0")
+            for source, position in sources()
+        ]
+        for index, listing in listings:
+            for r in reindexed:
+                yield index.translate(r).translate(listing)
+        return
     stored = list(map(kernel.embed, rows))
-    for x, row in enumerate(rows):
-        cycles = _cycles_by_length(row, x)
-        if [len(c) for c in cycles] != shape:
-            continue
-        source = kernel.embed(itertools.chain((x,), *cycles))
-        position = kernel.scatter(source, kernel.ident)
+    for source, position in sources():
         reindexed = [gather(gather(source, stored[v]), position) for v in source[:n]]
         for where, listing in listings:
             yield b"".join(map(kernel.after(where), map(reindexed.__getitem__, where))).translate(listing)
@@ -404,42 +447,66 @@ def canonical_table(q) -> tuple[tuple[int, ...], ...]:
 
 def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
     """One table per isomorphism class of quandles on n points: the first
-    one the search of enumerate_quandles visits."""
+    one the search of enumerate_quandles visits.
+
+    Q3 at (0, x) puts p0 s_x p0^-1 at p0(x), with p0 = row 0, so a row
+    placed anywhere on a cycle of p0 forces the whole cycle, and the
+    search chooses rows only at the least point k of each cycle.  Of the
+    rows fixing k, two kinds are skipped with no try, because the forced
+    chain would fail: a row r that does not commute with p0^L, L the
+    length of k's cycle (the chain returns to k as p0^L r p0^-L), and
+    one whose conjugate r p0 r^-1, forced at r(0) by Q3 at (k, 0),
+    differs from a row already there.  Forcing is closed in any order,
+    so settle pairs each row it takes off the queue only with the rows
+    taken off before it, and the tables visited are those of the plain
+    search over every point and every placed pair.
+    """
     if not _is_int(n, 1, ENUMERATION_CAP):
         raise InputError(f"enumeration is capped at order {ENUMERATION_CAP}, got {n!r}")
 
     points = range(n)
     kernel = _Kernel(n)
     gather, scatter = kernel.gather, kernel.scatter
-    typed = [(tuple(-c for c in _cycle_type(p)), kernel.embed(p)) for p in itertools.permutations(points)]
-    row_choices = [[(key, r) for key, r in typed if r[x] == x] for x in points]
+    # The rows fixing x are the conjugates of those fixing 0 by (0 x),
+    # which keep their cycle types; each list is in lexicographic order.
+    fixing_0 = [(0, *p) for p in itertools.permutations(points[1:])]
+    row_choices = [[(tuple(-c for c in _cycle_type(p)), kernel.embed(p)) for p in fixing_0]]
+    for x in points[1:]:
+        swap = kernel.embed((x, *points[1:x], 0, *points[x + 1 :]))
+        conjugates = ((key, scatter(swap, gather(r, swap))) for key, r in row_choices[0])
+        row_choices.append(sorted(conjugates, key=lambda c: c[1]))
 
     rows: list = [None] * n
+    order = []  # the placed points, in the order they were placed
     seen = set()
     found = []
 
-    def place(z, perm, trail):
-        cur = rows[z]
-        if cur is not None:
-            return cur == perm
-        rows[z] = perm
-        trail.append(z)
-        return True
-
-    def settle(trail):
-        qi = 0
-        while qi < len(trail):
-            x = trail[qi]
-            qi += 1
+    def settle(start):
+        # Pair each row taken off the queue with the rows taken off before
+        # it; those before start were paired with each other already.
+        # Each pair (x, y) forces s_x s_y s_x^-1 at s_x(y), and (y, x)
+        # forces s_y s_x s_y^-1 at s_y(x).
+        qi = start
+        while qi < len(order):
+            x = order[qi]
             rx = rows[x]
-            for y in points:
+            for y in order[:qi]:
                 ry = rows[y]
-                if ry is None:
-                    continue
-                if not place(rx[y], scatter(rx, gather(ry, rx)), trail):
+                z, forced = rx[y], scatter(rx, gather(ry, rx))
+                held = rows[z]
+                if held is None:
+                    rows[z] = forced
+                    order.append(z)
+                elif held != forced:
                     return False
-                if not place(ry[x], scatter(ry, gather(rx, ry)), trail):
+                z, forced = ry[x], scatter(ry, gather(rx, ry))
+                held = rows[z]
+                if held is None:
+                    rows[z] = forced
+                    order.append(z)
+                elif held != forced:
                     return False
+            qi += 1
         return True
 
     def emit():
@@ -450,27 +517,43 @@ def _first_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
         seen.update(_orbit_slice(table, table[0], listings))
         found.append(table)
 
-    def backtrack(k, choices):
+    def backtrack(k):
         while k < n and rows[k] is not None:
             k += 1
         if k == n:
             emit()
             return
-        for p in choices[k]:
-            trail = []
-            if place(k, p, trail) and settle(trail):
-                backtrack(k + 1, choices)
-            while trail:
-                rows[trail.pop()] = None
+        for r, at, image in choices[k]:
+            held = rows[at]
+            if held is not None and held != image:
+                continue
+            start = len(order)
+            rows[k] = r
+            order.append(k)
+            if settle(start):
+                backtrack(k + 1)
+            while len(order) > start:
+                rows[order.pop()] = None
 
     for floor in sorted({key for key, _ in row_choices[0]}):
         first = next(r for key, r in row_choices[0] if key == floor)
         listings = _listings(tuple(first[:n]))  # row 0 of every table this pass visits
-        choices = [[first]] + [
-            [r for key, r in row_choices[x] if key >= floor] for x in points[1:]
-        ]
+        choices = [None] * n
+        for cycle in _cycles(first[:n])[1:]:
+            k, power = cycle[0], first
+            for _ in cycle[1:]:
+                power = gather(power, first)
+            choices[k] = [
+                (r, r[0], scatter(r, gather(first, r)))
+                for key, r in row_choices[k]
+                if key >= floor and gather(power, r) == gather(r, power)
+            ]
         seen.clear()  # a class is reached in one pass only
-        backtrack(0, choices)
+        rows[0] = first
+        order.append(0)
+        backtrack(1)
+        rows[0] = None
+        order.clear()
     return found
 
 
@@ -483,6 +566,11 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
     and enforces Q3 exactly.  Rows are kept in the stored form of the
     permutation kernel, with no inverse: each conjugate is two kernel
     calls, scatter(row_x, gather(row_y, row_x)), and nothing is cached.
+    Row 0 forces every row of a cycle of row 0 from any one of them, so
+    a row is chosen only at the least point of each such cycle, and rows
+    whose forced chain must fail are skipped untried (see _first_tables):
+    963 tries and 6,429 conjugates at order 6 for its 183 tables, where
+    a choice at every point would make 2,782 and 11,048.
 
     Relabelings are broken at row 0.  Order cycle types by the key
     (-c for c in sorted lengths), which puts the identity's type last.
@@ -506,9 +594,10 @@ def enumerate_quandles(n: int) -> list[FiniteQuandle]:
     one class exactly when one is a relabeling of the other with that
     row 0.  A new table therefore adds only that slice of its orbit to
     the pass's seen set (_orbit_slice: 2427 relabelings at order 6, not
-    the 73 * 719 of the full orbits).  The representative is the
-    canonical table of each class, computed on the same kind of slice
-    (see canonical_table).  Output is sorted.
+    the 73 * 719 of the full orbits, each two translates up to 16
+    points).  The representative is the canonical table of each class,
+    computed on the same kind of slice (see canonical_table).  Output is
+    sorted.
     """
     return sorted((FiniteQuandle(canonical_table(rows)) for rows in _first_tables(n)), key=lambda q: q.table)
 

@@ -29,8 +29,9 @@ class SimpleGraph(Record):
         normalized = set()
         for e in edges:
             try:
-                u, v = e
-            except (TypeError, ValueError):
+                # Only a tuple or a list is a pair (a dict would unpack as its keys).
+                u, v = e if isinstance(e, (tuple, list)) else ()
+            except ValueError:
                 raise InputError(f"edge {e!r} is not a pair") from None
             # Plain ints in range pass at once; anything else meets the integer rule.
             if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):

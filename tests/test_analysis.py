@@ -45,6 +45,7 @@ from helpers import (
     affine_table,
     closure_by_products,
     conjugate,
+    cycle_type,
     euler_phi,
     first_noncommuting_products,
     first_noncommuting_rows,
@@ -924,6 +925,25 @@ def test_census_at_order_seven():
         for n in range(1, 8)
     ]
     assert connected == [1, 0, 1, 1, 3, 2, 5]
+
+
+def _mixed_row_type_classes(n):
+    """How many classes of order n have rows of more than one cycle type;
+    none of them may have a transitive inner group."""
+    mixed = [rows for rows in _first_tables(n) if len(set(map(cycle_type, rows))) > 1]
+    assert not any(inner_group(FiniteQuandle(rows)).is_transitive() for rows in mixed)
+    return len(mixed)
+
+
+def test_census_drops_only_classes_that_are_not_connected():
+    # The census skips a class whose rows differ in cycle type before it
+    # builds Inn, which conjugates the row of x into the row of g(x).
+    assert [_mixed_row_type_classes(n) for n in range(1, 7)] == [0, 0, 1, 4, 17, 62]
+
+
+@pytest.mark.slow
+def test_census_drops_only_classes_that_are_not_connected_at_order_7():
+    assert _mixed_row_type_classes(7) == 283
 
 
 def test_census_rejects_bad_bounds():

@@ -1,5 +1,6 @@
 import collections
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -33,6 +34,7 @@ from quandles import aknn, axis_quandle, connected_components, graphs
 from quandles.core import CANONICAL_SLICE_CAP, _first_tables, _least_of_type, _listings, _orbit_slice, _slice_size
 
 from helpers import (
+    affine_table,
     cycle_type,
     first_axiom_violation,
     geometric_dihedral_table,
@@ -516,6 +518,47 @@ def test_enumeration_reps_pairwise_nonisomorphic_at_order_7():
     _assert_reps_pairwise_nonisomorphic(7, random.Random(47))
 
 
+# sha256 of the tables of enumerate_quandles(n) and of _first_tables(n),
+# each table as its n * n entries in bytes, in the order returned.  They
+# were recorded from the search that tried every row at every point and
+# paired each new row with every placed one; pruning may not change them.
+ENUMERATION_DIGESTS = {
+    5: (
+        "4b42228b9b90111498116a99a9c8abf37aa6e33745ffae11945f653b61acfee4",
+        "152d048821c9801f3aaaf701afe54abc3999a688fedc6ed951b28e973823fa05",
+    ),
+    6: (
+        "dc2bce13ab3ec34203645ccc00309f0b66b28a6e715043243da00b05eca18fdc",
+        "8a6ec0b21b49c87f307191a2614b2fbea6a59b6c96b7305f8097eebfb5b31841",
+    ),
+    7: (
+        "e27569ee9d4c7486f3ab9c605bebb87eaa7b0bc81c7f9d8a957d739d697fd684",
+        "6604a329a4c7755b7b595e65213cfc791df62976b145db55dde388df00ee4eb7",
+    ),
+}
+
+
+def _tables_digest(tables):
+    return hashlib.sha256(b"".join(bytes(row) for table in tables for row in table)).hexdigest()
+
+
+def _assert_enumeration_is_pinned(n):
+    assert (
+        _tables_digest(q.table for q in enumerate_quandles(n)),
+        _tables_digest(_first_tables(n)),
+    ) == ENUMERATION_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_enumeration_is_pinned(n):
+    _assert_enumeration_is_pinned(n)
+
+
+@pytest.mark.slow
+def test_enumeration_is_pinned_at_order_7():
+    _assert_enumeration_is_pinned(7)
+
+
 def test_enumeration_rejects_out_of_range():
     for bad in (0, 8, -1, "3"):
         with pytest.raises(InputError):
@@ -604,6 +647,39 @@ def test_orbit_slice_is_the_part_of_the_orbit_with_that_row_0():
             assert len(got) == same_type * _centralizer_in_stabilizer(p)
 
 
+@pytest.mark.parametrize("n, lengths", [(16, (15,)), (16, (1, 2, 3, 4, 5)), (17, (16,)), (17, (2, 3, 5, 6))])
+def test_orbit_slice_on_both_sides_of_16_points(n, lengths):
+    # Up to 16 points each relabeling is two translates of a flat table,
+    # above 16 it is one translate per row.  These seeded random rows of
+    # one type have no automorphism, so every relabeling in the slice is a
+    # different table.
+    rng = random.Random(n * 10 + len(lengths))
+    rows = tuple(tuple(random_row_of_type(rng, n, x, lengths)) for x in range(n))
+    p = _least_of_type(cycle_type(rows[0]))
+    got = list(_orbit_slice(rows, p, _listings(p)))
+    assert len(set(got)) == len(got) == _slice_size(rows, p)
+    assert {t[:n] for t in got} == {bytes(p)}
+    canonical = canonical_table(rows)
+    for _ in range(3):
+        assert canonical_table(relabeled_table(rows, rng.sample(range(n), n))) == canonical
+
+
+@pytest.mark.parametrize("p, root, relabelings, tables", [(13, 2, 156, 1), (16, 3, 24_576, 192), (17, 3, 272, 1)])
+def test_orbit_slice_of_an_affine_quandle(p, root, relabelings, tables):
+    # Every x -> u*x + b with u a unit is an automorphism of the affine
+    # quandle over Z/p, so with a primitive root (13 and 17) each of the
+    # p * (p - 1) relabelings of the slice gives the table back.
+    rows = tuple(map(tuple, affine_table(p, root)))
+    got = list(_orbit_slice(rows, rows[0], _listings(rows[0])))
+    assert len(got) == _slice_size(rows, rows[0]) == relabelings
+    assert {t[:p] for t in got} == {bytes(rows[0])}
+    assert len(set(got)) == tables and b"".join(map(bytes, rows)) in got
+    rng = random.Random(p)
+    canonical = canonical_table(rows)
+    for _ in range(3):
+        assert canonical_table(relabeled_table(rows, rng.sample(range(p), p))) == canonical
+
+
 def test_slice_size_is_the_length_of_the_slice():
     cases = 0
     for n in range(1, 7):
@@ -632,8 +708,9 @@ def test_canonical_table_refuses_big_slices_before_any_work():
 
 def test_canonical_table_keeps_nothing_alive():
     # Its 599,040 relabelings list 46,080 listing pairs of three small
-    # objects each (18 MB).  pymalloc blocks hold at most 512 bytes, so
-    # fewer than 4,000 new blocks is under 2 MB of small objects.
+    # objects each (26 MB, with a 169-byte index per listing).  pymalloc
+    # blocks hold at most 512 bytes, so fewer than 4,000 new blocks is
+    # under 2 MB of small objects.
     # (tracemalloc would measure bytes, but makes this call take 30 s.)
     q = dihedral(13)
     gc.collect()

@@ -303,6 +303,11 @@ def test_sequences_are_stored_as_tuples():
         (lambda: SimpleGraph(2.0), "vertex count must be a nonnegative integer, got 2.0"),
         (lambda: SimpleGraph(3, [5]), "edge 5 is not a pair"),
         (lambda: SimpleGraph(3, [(0, 1, 2)]), "edge (0, 1, 2) is not a pair"),
+        # Only a tuple or a list is a pair, whatever its length.
+        (lambda: SimpleGraph(3, [{0: "x", 1: "y"}]), "edge {0: 'x', 1: 'y'} is not a pair"),
+        (lambda: SimpleGraph(3, [{0, 1}]), "edge {0, 1} is not a pair"),
+        (lambda: SimpleGraph(3, [b"\x00\x01"]), "edge b'\\x00\\x01' is not a pair"),
+        (lambda: SimpleGraph(3, [(0, 1), range(1, 3)]), "edge range(1, 3) is not a pair"),
         (lambda: SimpleGraph(3, [(0, 3)]), "edge endpoint 3 is out of range"),
         (lambda: SimpleGraph(3, [(0, True)]), "edge endpoint True is out of range"),
         (lambda: SimpleGraph(3, [(0, 1), (1.0, 2)]), "edge endpoint 1.0 is out of range"),
